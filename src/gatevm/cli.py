@@ -15,10 +15,9 @@ from pathlib import Path
 
 from .bench import BenchmarkSpec, FAMILIES, generate_benchmark
 from .codegen import generate, program_from_json, program_to_json
-from .harness import experiment, report_to_csv, report_to_json
+from .harness import experiment, report_to_csv, report_to_json, resolve_fleet
 from .passes import PassConfig, WidthUnreachableError, run_pipeline
 from .qasm import QasmError, emit_qasm, parse_qasm
-from .qpu import fleet_from_json, preset_qpu
 from .runtime import run_program, schedule
 from .sim import MAX_QUBITS, linf_distance, run_exact
 from .transpiler import cnot_count, depth, esp, map_and_route
@@ -63,12 +62,6 @@ def _compile_from_args(args):
     return circuit, optimized
 
 
-def _load_fleet(spec: str):
-    if spec.startswith("preset:"):
-        return [preset_qpu(spec.split(":", 1)[1])]
-    return fleet_from_json(Path(spec).read_text())
-
-
 def cmd_parse(args) -> int:
     circuit = parse_qasm(Path(args.file).read_text(), name=Path(args.file).stem)
     if args.dump_graphs:
@@ -97,7 +90,7 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     program = program_from_json(Path(args.program).read_text())
     workers = _workers(args)
-    fleet = _load_fleet(args.fleet) if args.fleet else None
+    fleet = resolve_fleet(args.fleet, Path()) if args.fleet else None
     if fleet is not None:
         schedule(program, fleet, args.alpha, args.beta, args.seed)
     dist = run_program(program, mode=args.mode, shots=args.shots,
@@ -120,7 +113,7 @@ def cmd_stats(args) -> int:
         "qubit_dependencies": len(qubit_dependencies(vc)),
     }]
     if args.fleet:
-        for qpu in _load_fleet(args.fleet):
+        for qpu in resolve_fleet(args.fleet, Path()):
             if qpu.num_qubits < circuit.num_qubits:
                 continue
             physical = map_and_route(circuit, qpu, args.seed)

@@ -219,7 +219,6 @@ def peephole_optimize(pc: ParamCircuit) -> ParamCircuit:
     changed = True
     while changed:
         changed = False
-        nxt: dict[int, int] = {}
         follower = [dict() for _ in els]  # wire -> next element index
         last: dict[int, int] = {}
         for i, el in enumerate(els):
@@ -241,7 +240,7 @@ def peephole_optimize(pc: ParamCircuit) -> ParamCircuit:
             if j in remove or isinstance(els[j], Placeholder):
                 continue
             other = els[j]
-            if isinstance(other, Placeholder) or other.kind != el.kind:
+            if other.kind != el.kind:
                 continue
             same_pair = (other.qubits == el.qubits or
                          (el.kind in ("rzz", "cz") and
@@ -270,7 +269,6 @@ def peephole_optimize(pc: ParamCircuit) -> ParamCircuit:
             els = new_els
 
     vectors = []
-    it = iter(pc.param_vectors)
     ph_in_old = [el for el in pc.elements if isinstance(el, Placeholder)]
     vec_of = dict(zip(
         [(p.gate_id, p.side) for p in ph_in_old], pc.param_vectors))

@@ -15,7 +15,7 @@ from pathlib import Path
 from .bench import BenchmarkSpec, generate_benchmark
 from .codegen import generate
 from .passes import PassConfig, run_pipeline
-from .qpu import QpuModel, fleet_from_json, preset_qpu
+from .qpu import QpuModel, fleet_from_json, preset_qpu, qpu_from_dict
 from .runtime import execute, global_coefficients, knit, schedule
 from .sim import MAX_QUBITS, linf_distance, run_exact
 from .transpiler import cnot_count, depth, esp, hellinger_fidelity, map_and_route
@@ -33,11 +33,7 @@ CSV_COLUMNS = [
 
 def resolve_fleet(fleet_spec, base_dir: Path) -> list[QpuModel]:
     if isinstance(fleet_spec, dict):
-        return [QpuModel(name=d["name"], num_qubits=d["num_qubits"],
-                         coupling=[tuple(e) for e in d["coupling"]],
-                         error_rates=d.get("error_rates", {}),
-                         queue_length=d.get("queue_length", 0))
-                for d in fleet_spec["qpus"]]
+        return [qpu_from_dict(d) for d in fleet_spec["qpus"]]
     if isinstance(fleet_spec, str) and fleet_spec.startswith("preset:"):
         return [preset_qpu(fleet_spec.split(":", 1)[1])]
     return fleet_from_json((base_dir / fleet_spec).read_text())

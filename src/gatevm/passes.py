@@ -16,7 +16,8 @@ import numpy as np
 from networkx.algorithms.community import kernighan_lin_bisection
 
 from .circuit import instr
-from .vc import Gate2, VirtualCircuit, VirtualSide, virt_between, virt_gate
+from .vc import (Gate2, VirtualCircuit, VirtualSide, dependency_pairs,
+                 remove_gate_relinked, virt_between, virt_gate)
 
 EXACT_CUT_MAX_QUBITS = 14
 EXACT_DR_MAX_GATES = 16
@@ -221,43 +222,6 @@ def cut_greedy_kl(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
 # ---------------------------------------------------------------------------
 # dependency reducer
 
-def _dependency_pairs(op_graph: nx.MultiDiGraph,
-                      gate_qubits: dict[int, tuple[int, int]]) -> set[tuple[int, int]]:
-    reach: dict[int, int] = {}
-    pairs: set[tuple[int, int]] = set()
-    for gid in reversed(list(nx.topological_sort(op_graph))):
-        qa, qb = gate_qubits[gid]
-        mask = (1 << qa) | (1 << qb)
-        for succ in op_graph.successors(gid):
-            mask |= reach[succ]
-        reach[gid] = mask
-        for q_src in (qa, qb):
-            m = mask
-            q = 0
-            while m:
-                if m & 1 and q != q_src:
-                    pairs.add((q, q_src))
-                m >>= 1
-                q += 1
-    return pairs
-
-
-def _relinked_removal(op_graph: nx.MultiDiGraph, gids: tuple[int, ...]) -> nx.MultiDiGraph:
-    """Copy of the operation graph with gates removed wire-consistently."""
-    g = op_graph.copy()
-    for gid in gids:
-        by_qubit: dict[int, dict[str, int]] = {}
-        for u, _, key in g.in_edges(gid, keys=True):
-            by_qubit.setdefault(key, {})["pred"] = u
-        for _, v, key in g.out_edges(gid, keys=True):
-            by_qubit.setdefault(key, {})["succ"] = v
-        g.remove_node(gid)
-        for q, link in by_qubit.items():
-            if "pred" in link and "succ" in link:
-                g.add_edge(link["pred"], link["succ"], key=q, qubit=q)
-    return g
-
-
 def reduce_dependencies_exact(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
     """Virtualize the gate set of size <= budget that provably minimizes the
     number of qubit dependencies (ties: fewer gates, then lowest ids)."""
@@ -269,11 +233,13 @@ def reduce_dependencies_exact(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCir
             f"{len(gate_ids)} gates exceeds the exact-reducer bound of "
             f"{EXACT_DR_MAX_GATES}")
     best_subset: tuple[int, ...] = ()
-    best_dq = len(_dependency_pairs(vc.op_graph, vc.gate_qubits))
+    best_dq = len(dependency_pairs(vc.op_graph, vc.gate_qubits))
     for size in range(1, min(cfg.budget, len(gate_ids)) + 1):
         for subset in combinations(gate_ids, size):
-            g = _relinked_removal(vc.op_graph, subset)
-            dq = len(_dependency_pairs(g, vc.gate_qubits))
+            g = vc.op_graph.copy()
+            for gid in subset:
+                remove_gate_relinked(g, gid)
+            dq = len(dependency_pairs(g, vc.gate_qubits))
             if dq < best_dq:
                 best_dq = dq
                 best_subset = subset

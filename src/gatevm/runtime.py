@@ -93,6 +93,11 @@ class GlobalCoefficients:
 
 
 def global_coefficients(program: CompiledProgram) -> GlobalCoefficients:
+    count = 6 ** len(program.gate_order)
+    if count > MAX_FRAGMENT_INSTANCES:
+        raise InstantiationOverflowError(
+            f"{len(program.gate_order)} virtual gates need {count} global "
+            f"instances (limit {MAX_FRAGMENT_INSTANCES})")
     values = np.array([1.0])
     for gid in program.gate_order:
         values = np.kron(values, program.coeff_vectors[gid])

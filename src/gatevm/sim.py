@@ -1,10 +1,13 @@
 """Statevector execution engine for circuit fragments.
 
-Exact mode evolves one statevector per mid-circuit-measurement branch and
-returns a signed outcome distribution; sampled mode draws seeded shots from
-the exact joint branch distribution, which is statistically identical to
-per-shot collapse. Also hosts the Choi-matrix channel oracle used to
-validate quasi-probability gate decompositions.
+All mid-circuit-measurement branches of a run live in one amplitude array
+with a branch axis, so each gate is applied once to the whole batch; a
+mid-circuit measurement or reset replaces every row by its outcome-0 row
+and then its outcome-1 row. Exact mode returns a signed outcome
+distribution; sampled mode draws seeded shots from the exact joint branch
+distribution, which is statistically identical to per-shot collapse. Also
+hosts the Choi-matrix channel oracle used to validate quasi-probability
+gate decompositions.
 
 Bit order: qubit 0 is the least significant bit of every bitstring key.
 Every run owns its state; there is no shared mutable state between runs.
@@ -141,43 +144,33 @@ def two_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise SimulationError(f"no matrix for two-qubit kind {kind!r}")
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = state.reshape([2] * n)
-    axis = n - 1 - q
+def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+    t = amps.reshape([-1] + [2] * n)
+    axis = n - q
     t = np.tensordot(mat, t, axes=([1], [axis]))
-    return np.moveaxis(t, 0, axis).reshape(-1)
+    return np.moveaxis(t, 0, axis).reshape(amps.shape)
 
-def _apply_2q(state: np.ndarray, mat4: np.ndarray, qa: int, qb: int,
+
+def _apply_2q(amps: np.ndarray, mat4: np.ndarray, qa: int, qb: int,
               n: int) -> np.ndarray:
     # mat4 index convention: pair index = bit(qa) + 2*bit(qb)
-    t = state.reshape([2] * n)
-    ax_a, ax_b = n - 1 - qa, n - 1 - qb
+    t = amps.reshape([-1] + [2] * n)
+    ax_a, ax_b = n - qa, n - qb
     m = mat4.reshape(2, 2, 2, 2)  # (b_out, a_out, b_in, a_in)
     t = np.tensordot(m, t, axes=([2, 3], [ax_b, ax_a]))
-    return np.moveaxis(t, [0, 1], [ax_b, ax_a]).reshape(-1)
-
-
-def _project(state: np.ndarray, q: int, outcome: int, n: int) -> np.ndarray:
-    t = state.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[n - 1 - q] = 1 - outcome
-    t[tuple(idx)] = 0.0
-    return t.reshape(-1)
+    return np.moveaxis(t, [0, 1], [ax_b, ax_a]).reshape(amps.shape)
 
 
 # ---------------------------------------------------------------------------
 # branch evolution
 
 @dataclass
-class _Branch:
-    amp: np.ndarray          # unnormalized; squared norm = branch probability
-    sign: int = 1
-    recorded: int = 0        # output bits fixed by mid-circuit measurements
-
-
-@dataclass
 class _Evolution:
-    branches: list[_Branch]
+    # One row per live branch, in branch order. A row's amplitudes are
+    # unnormalized: its squared norm is the branch probability.
+    amps: np.ndarray                     # (branches, 2^n) complex
+    signs: np.ndarray                    # (branches,) +1 or -1
+    recorded: np.ndarray                 # (branches,) bits fixed mid-circuit
     read_clbits: list[tuple[int, int]]   # (qubit, clbit) read at the end
     sign_mask: int                       # qubits whose final bit flips the sign
     num_bits: int
@@ -193,6 +186,30 @@ def _last_use(instructions: list[Instruction]) -> dict[int, int]:
     return last
 
 
+def _split(ev: _Evolution, q: int, sign: bool = False, clbit: int | None = None,
+           reset: bool = False) -> None:
+    """Branch every row on the value of qubit ``q``.
+
+    Each parent is replaced by its outcome-0 row and then its outcome-1 row;
+    rows whose squared norm is below ``_PRUNE_NORM_SQ`` are dropped. A reset
+    moves the outcome-1 amplitudes to the qubit's 0 half.
+    """
+    rows, size = ev.amps.shape
+    halves = ev.amps.reshape(rows, size >> (q + 1), 2, 1 << q)
+    norms = (np.abs(halves) ** 2).sum(axis=(1, 3))  # (parent, outcome)
+    parent, outcome = np.nonzero(norms >= _PRUNE_NORM_SQ)
+    split = np.zeros((len(parent),) + halves.shape[1:], dtype=complex)
+    target = np.zeros_like(outcome) if reset else outcome
+    split[np.arange(len(parent)), :, target, :] = halves[parent, :, outcome, :]
+    ev.amps = split.reshape(len(parent), size)
+    ev.signs = ev.signs[parent]
+    if sign:
+        ev.signs = np.where(outcome == 1, -ev.signs, ev.signs)
+    ev.recorded = ev.recorded[parent]
+    if clbit is not None:
+        ev.recorded = ev.recorded | (outcome << clbit)
+
+
 def _evolve(c: Circuit) -> _Evolution:
     c.validate()
     n = c.num_qubits
@@ -200,13 +217,10 @@ def _evolve(c: Circuit) -> _Evolution:
         raise SimulationError(f"{n} qubits exceeds engine limit of {MAX_QUBITS}")
     records = any(ins.kind == "measure" and ins.clbit is not None
                   for ins in c.instructions)
-    num_bits = c.num_clbits if records else n
-
-    amp = np.zeros(1 << n, dtype=complex)
-    amp[0] = 1.0
-    branches = [_Branch(amp)]
-    read_clbits: list[tuple[int, int]] = []
-    sign_mask = 0
+    amps = np.zeros((1, 1 << n), dtype=complex)
+    amps[0, 0] = 1.0
+    ev = _Evolution(amps, np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                    [], 0, c.num_clbits if records else n)
     last = _last_use(c.instructions)
 
     for i, ins in enumerate(c.instructions):
@@ -214,79 +228,42 @@ def _evolve(c: Circuit) -> _Evolution:
             continue
         if ins.kind in GATES_1Q:
             mat = gate_matrix(ins.kind, ins.angle)
-            for br in branches:
-                br.amp = _apply_1q(br.amp, mat, ins.qubits[0], n)
+            ev.amps = _apply_1q(ev.amps, mat, ins.qubits[0], n)
         elif ins.kind in GATES_2Q:
             mat = two_qubit_matrix(ins.kind, ins.angle)
-            for br in branches:
-                br.amp = _apply_2q(br.amp, mat, ins.qubits[0], ins.qubits[1], n)
+            ev.amps = _apply_2q(ev.amps, mat, ins.qubits[0], ins.qubits[1], n)
         elif ins.kind == "measure":
             q = ins.qubits[0]
             if last[q] == i:
                 # Terminal measurement: read the bit at finalization instead
                 # of branching, so whole-register readout stays linear.
                 if ins.clbit is not None:
-                    read_clbits.append((q, ins.clbit))
+                    ev.read_clbits.append((q, ins.clbit))
                 if ins.sign:
-                    sign_mask |= 1 << q
+                    ev.sign_mask |= 1 << q
                 continue
-            new_branches = []
-            for br in branches:
-                for outcome in (0, 1):
-                    amp_o = _project(br.amp, q, outcome, n)
-                    if float(np.vdot(amp_o, amp_o).real) < _PRUNE_NORM_SQ:
-                        continue
-                    sign = br.sign
-                    if ins.sign and outcome == 1:
-                        sign = -sign
-                    recorded = br.recorded
-                    if ins.clbit is not None and outcome == 1:
-                        recorded |= 1 << ins.clbit
-                    new_branches.append(_Branch(amp_o, sign, recorded))
-            branches = new_branches
+            _split(ev, q, sign=ins.sign, clbit=ins.clbit)
         elif ins.kind == "reset":
-            q = ins.qubits[0]
-            x = _FIXED_1Q["x"]
-            new_branches = []
-            for br in branches:
-                amp0 = _project(br.amp, q, 0, n)
-                if float(np.vdot(amp0, amp0).real) >= _PRUNE_NORM_SQ:
-                    new_branches.append(_Branch(amp0, br.sign, br.recorded))
-                amp1 = _project(br.amp, q, 1, n)
-                if float(np.vdot(amp1, amp1).real) >= _PRUNE_NORM_SQ:
-                    amp1 = _apply_1q(amp1, x, q, n)
-                    new_branches.append(_Branch(amp1, br.sign, br.recorded))
-            branches = new_branches
+            _split(ev, ins.qubits[0], reset=True)
         else:  # pragma: no cover
             raise SimulationError(f"cannot simulate kind {ins.kind!r}")
 
     if not records:
-        read_clbits.extend((q, q) for q in range(n))
-    return _Evolution(branches, read_clbits, sign_mask, num_bits)
+        ev.read_clbits.extend((q, q) for q in range(n))
+    return ev
 
 
-def _branch_outcomes(ev: _Evolution, n: int):
-    """Yield (keys, signed weights, probs) arrays for one branch at a time."""
-    for br in ev.branches:
-        probs = np.abs(br.amp) ** 2
-        idx = np.nonzero(probs > _PRUNE_NORM_SQ)[0]
-        if idx.size == 0:
-            continue
-        keys = np.full(idx.shape, br.recorded, dtype=np.int64)
-        for q, c in ev.read_clbits:
-            keys |= ((idx >> q) & 1) << c
-        signs = np.full(idx.shape, br.sign, dtype=np.int64)
-        if ev.sign_mask:
-            flips = np.zeros(idx.shape, dtype=np.int64)
-            m = ev.sign_mask
-            q = 0
-            while m:
-                if m & 1:
-                    flips ^= (idx >> q) & 1
-                m >>= 1
-                q += 1
-            signs = np.where(flips == 1, -signs, signs)
-        yield keys, signs, probs[idx]
+def _outcomes(ev: _Evolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, signs and probabilities of every (branch, basis state) pair with
+    nonzero probability, branch by branch in branch order."""
+    probs = np.abs(ev.amps) ** 2
+    row, idx = np.nonzero(probs > _PRUNE_NORM_SQ)
+    keys = ev.recorded[row]
+    for q, c in ev.read_clbits:
+        keys |= ((idx >> q) & 1) << c
+    signs = ev.signs[row]
+    flips = np.bitwise_count(idx & ev.sign_mask) & 1
+    return keys, np.where(flips == 1, -signs, signs), probs[row, idx]
 
 
 def run_exact(c: Circuit) -> SignedDistribution:
@@ -298,11 +275,12 @@ def run_exact(c: Circuit) -> SignedDistribution:
     has no measurement instructions.
     """
     ev = _evolve(c)
-    acc: dict[int, float] = {}
-    for keys, signs, probs in _branch_outcomes(ev, c.num_qubits):
-        for k, s, p in zip(keys.tolist(), signs.tolist(), probs.tolist()):
-            acc[k] = acc.get(k, 0.0) + s * p
-    entries = {k: v for k, v in acc.items() if abs(v) >= _OUTPUT_EPS}
+    keys, signs, probs = _outcomes(ev)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    # bincount adds in input order, as a running sum per key would.
+    sums = np.bincount(inverse, weights=signs * probs)
+    entries = {k: v for k, v in zip(uniq.tolist(), sums.tolist())
+               if abs(v) >= _OUTPUT_EPS}
     return SignedDistribution(entries, ev.num_bits)
 
 
@@ -316,28 +294,16 @@ def run_sampled(c: Circuit, shots: int, seed: int) -> ShotCounts:
     if shots < 1:
         raise SimulationError("shots must be >= 1")
     ev = _evolve(c)
-    all_keys: list[np.ndarray] = []
-    all_signs: list[np.ndarray] = []
-    all_probs: list[np.ndarray] = []
-    for keys, signs, probs in _branch_outcomes(ev, c.num_qubits):
-        all_keys.append(keys)
-        all_signs.append(signs)
-        all_probs.append(probs)
-    keys = np.concatenate(all_keys)
-    signs = np.concatenate(all_signs)
-    probs = np.concatenate(all_probs)
-    probs = probs / probs.sum()
-
+    keys, signs, probs = _outcomes(ev)
     rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs)
-    counts: dict[int, int] = {}
-    signed: dict[int, int] = {}
-    for k, s, cnt in zip(keys.tolist(), signs.tolist(), drawn.tolist()):
-        if cnt == 0:
-            continue
-        counts[k] = counts.get(k, 0) + cnt
-        signed[k] = signed.get(k, 0) + s * cnt
-    return ShotCounts(counts, signed, shots, ev.num_bits)
+    drawn = rng.multinomial(shots, probs / probs.sum())
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inverse, weights=drawn).astype(np.int64)
+    signed = np.bincount(inverse, weights=signs * drawn).astype(np.int64)
+    hit = counts > 0
+    keys_hit = uniq[hit].tolist()
+    return ShotCounts(dict(zip(keys_hit, counts[hit].tolist())),
+                      dict(zip(keys_hit, signed[hit].tolist())), shots, ev.num_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,6 @@ def map_and_route(c: Circuit, qpu: QpuModel, seed: int = 0) -> PhysicalCircuit:
                     emit_swap(l2p[ins.qubits[0]], nxt)
                 a, b = (l2p[q] for q in ins.qubits)
             out.append(Instruction(ins.kind, (a, b), ins.angle))
-        elif ins.kind == "barrier":
-            out.append(ins.remap({q: l2p[q] for q in ins.qubits}))
         else:
             out.append(ins.remap({q: l2p[q] for q in ins.qubits}))
 

@@ -200,7 +200,7 @@ def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
     )
 
 
-def _relink(op_graph: nx.MultiDiGraph, gid: int) -> None:
+def remove_gate_relinked(op_graph: nx.MultiDiGraph, gid: int) -> None:
     """Remove a gate from the operation graph, re-linking each of its wires."""
     by_qubit: dict[int, dict[str, int]] = {}
     for u, _, key in op_graph.in_edges(gid, keys=True):
@@ -231,7 +231,7 @@ def virt_gate(vc: VirtualCircuit, gate_id: int) -> VirtualCircuit:
         raise VcError(f"gate {gate_id} not present in the stream")
     gate = vc.instructions[pos]
 
-    _relink(vc.op_graph, gate_id)
+    remove_gate_relinked(vc.op_graph, gate_id)
 
     qa, qb = vc.gate_qubits[gate_id]
     u, v = min(qa, qb), max(qa, qb)
@@ -264,19 +264,20 @@ def virt_between(vc: VirtualCircuit, q_i: int, q_j: int) -> VirtualCircuit:
     return vc
 
 
-def qubit_dependencies(vc: VirtualCircuit) -> set[tuple[int, int]]:
-    """Ordered pairs (q_i, q_j) where q_i depends on q_j.
+def dependency_pairs(op_graph: nx.MultiDiGraph,
+                     gate_qubits: dict[int, tuple[int, int]]) -> set[tuple[int, int]]:
+    """Ordered pairs (q_i, q_j) where q_i depends on q_j in an operation graph.
 
-    q_i depends on q_j when some real two-qubit gate acting on q_i is
-    reachable in the operation graph from some gate acting on q_j (a gate
-    acting on both qubits counts). Virtual gates contribute nothing.
+    q_i depends on q_j when some two-qubit gate of the graph acting on q_i is
+    reachable from some gate acting on q_j (a gate acting on both qubits
+    counts).
     """
     reach_qubits: dict[int, int] = {}
     pairs: set[tuple[int, int]] = set()
-    for gid in reversed(list(nx.topological_sort(vc.op_graph))):
-        qa, qb = vc.gate_qubits[gid]
+    for gid in reversed(list(nx.topological_sort(op_graph))):
+        qa, qb = gate_qubits[gid]
         mask = (1 << qa) | (1 << qb)
-        for succ in vc.op_graph.successors(gid):
+        for succ in op_graph.successors(gid):
             mask |= reach_qubits[succ]
         reach_qubits[gid] = mask
         for q_src in (qa, qb):
@@ -288,6 +289,12 @@ def qubit_dependencies(vc: VirtualCircuit) -> set[tuple[int, int]]:
                 m >>= 1
                 q += 1
     return pairs
+
+
+def qubit_dependencies(vc: VirtualCircuit) -> set[tuple[int, int]]:
+    """:func:`dependency_pairs` of the operation graph. Virtual gates have
+    left that graph, so they contribute nothing."""
+    return dependency_pairs(vc.op_graph, vc.gate_qubits)
 
 
 def to_circuit(vc: VirtualCircuit) -> Circuit:

@@ -3,8 +3,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from gatevm.bench import BenchmarkSpec, generate_benchmark
 from gatevm.cli import EXIT_PIPELINE_FAILURE, EXIT_VERIFY_FAILURE, _workers, main
 from gatevm.qasm import emit_qasm
+from gatevm.qpu import fleet_to_json, line_qpu
+from gatevm.transpiler import esp, map_and_route
 
 from fixtures import fully_dependent_circuit
 
@@ -68,6 +71,44 @@ def test_run_with_fleet_scheduling(tmp_path, ghz_file):
     assert main(["run", str(prog), "--fleet", "preset:heavy-hex-27",
                  "-o", str(out)]) == 0
     assert json.loads(out.read_text())["000000"] == pytest.approx(0.5)
+
+
+def _custom_line_qpu():
+    return line_qpu(6, name="custom-line-6", error_rates={"2q": 0.05})
+
+
+def test_run_and_stats_with_fleet_file(tmp_path, ghz_file, capsys):
+    fleet_path = tmp_path / "fleet.json"
+    fleet_path.write_text(fleet_to_json([_custom_line_qpu()]))
+    prog = tmp_path / "prog.json"
+    main(["compile", str(ghz_file), "--max-fragment-size", "3",
+          "--budget", "1", "-o", str(prog)])
+    out = tmp_path / "d.json"
+    assert main(["run", str(prog), "--fleet", str(fleet_path),
+                 "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["000000"] == pytest.approx(0.5)
+    assert main(["stats", str(ghz_file), "--fleet", str(fleet_path)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in rows] == ["ghz", "ghz@custom-line-6"]
+
+
+def test_experiment_with_inline_fleet(tmp_path):
+    qpu = _custom_line_qpu()
+    cfg = {
+        "benchmarks": [{"family": "ghz", "num_qubits": 6, "seed": 0}],
+        "pass_config": {"max_fragment_size": 3, "budget": 2, "seed": 0},
+        "fleet": json.loads(fleet_to_json([qpu])),
+        "mode": "exact",
+        "seed": 0,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert main(["experiment", str(cfg_path), "-o", str(out)]) == 0
+    (case,) = json.loads(out.read_text())["cases"]
+    circuit = generate_benchmark(BenchmarkSpec("ghz", 6, 1, 0))
+    assert case["uncut_esp"] == esp(map_and_route(circuit, qpu, 0), qpu)
+    assert case["linf"] <= 1e-8
 
 
 def test_stats_reports_rows(ghz_file, capsys):

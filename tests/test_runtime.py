@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,22 @@ def test_global_coefficient_length():
     prog = compiled(c, [0, 1, 2])
     coeffs = global_coefficients(prog)
     assert len(coeffs) == 6 ** 3
+
+
+def test_global_coefficient_overflow_guard():
+    # 6^9 global instances exceed MAX_FRAGMENT_INSTANCES: refused before the
+    # 80 MB coefficient vector is built. 6^8 (1.68 M entries) still runs.
+    chain = Circuit(10, [instr("cx", q, q + 1) for q in range(9)])
+    too_many = compiled(chain, range(9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstantiationOverflowError):
+            global_coefficients(too_many)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(global_coefficients(compiled(chain, range(8)))) == 6 ** 8
 
 
 def test_global_coefficients_match_per_index_product():

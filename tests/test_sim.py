@@ -200,3 +200,31 @@ def test_clipped_probabilities():
     d = SignedDistribution({0: 0.75, 1: -0.25, 2: 0.75}, 2)
     clipped = d.clipped_probabilities()
     assert clipped == pytest.approx({0: 0.5, 2: 0.5})
+
+
+def _pinned_branching_circuit() -> Circuit:
+    # Three mid-circuit measurements (one sign-marked) and a reset: up to 16
+    # branches with distinct weights, so a different branch order changes
+    # which outcomes the seeded multinomial draw lands on.
+    c = Circuit(3, num_clbits=5)
+    c.instructions = [
+        instr("ry", 0, angle=0.7), instr("ry", 1, angle=1.3), instr("h", 2),
+        instr("cx", 0, 1), instr("rzz", 1, 2, angle=0.4),
+        instr("measure", 0, clbit=0), instr("measure", 1, sign=True),
+        instr("measure", 2, clbit=3), instr("cx", 2, 0),
+        instr("ry", 1, angle=2.1), instr("reset", 2), instr("ry", 2, angle=0.9),
+        instr("cx", 0, 2), instr("cz", 1, 2),
+        instr("measure", 0, clbit=1), instr("measure", 1, clbit=2),
+        instr("measure", 2, clbit=4),
+    ]
+    return c
+
+
+def test_sampled_output_pinned_across_branch_order():
+    got = run_sampled(_pinned_branching_circuit(), shots=5000, seed=2024)
+    assert got.counts == {
+        0: 763, 3: 28, 4: 995, 7: 25, 9: 109, 10: 181, 13: 99, 14: 233,
+        16: 172, 19: 120, 20: 250, 23: 110, 25: 34, 26: 765, 29: 21, 30: 1095}
+    assert got.signed_sum == {
+        0: -259, 3: -16, 4: 681, 7: 3, 9: -81, 10: -61, 13: 29, 14: 149,
+        16: -40, 19: -80, 20: 172, 23: 36, 25: -20, 26: -225, 29: 7, 30: 749}
