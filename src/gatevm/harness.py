@@ -90,7 +90,7 @@ def run_case(spec: BenchmarkSpec, cfg: PassConfig, passes: tuple[str, ...],
 
     t0 = time.perf_counter()
     coeffs = global_coefficients(program)
-    timings["instantiate"] = time.perf_counter() - t0
+    timings["global_coefficients"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     results = execute(program, assignment, mode, shots, seed, workers)
     timings["execute"] = time.perf_counter() - t0

@@ -4,12 +4,14 @@ The instantiator enumerates the 6^k_j decomposition choices of each
 fragment. The QPU manager scores simulated QPUs by queue length and
 estimated success probability. The knitter reconstructs the original
 circuit's quasi-distribution by summing, over all 6^k global instances,
-the coefficient-weighted tensor product of fragment results; the global
-coefficient vector is split into contiguous ranges across a process pool.
+the coefficient-weighted Kronecker product of per-fragment result tables
+into one accumulator; the global coefficient vector is split into
+contiguous ranges across a process pool.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass
 
@@ -22,8 +24,10 @@ from .sim import SignedDistribution, run_exact, run_sampled
 from .transpiler import esp, map_and_route
 
 MAX_FRAGMENT_INSTANCES = 10_000_000
+# Knit accumulator entries (product of the fragments' key-union sizes); a
+# worker holds the accumulator and a buffer of this size, 32 MiB each.
+MAX_KNIT_ENTRIES = 1 << 22
 _KNIT_OUTPUT_EPS = 1e-12
-_DENSE_BITS_LIMIT = 22
 
 
 class ExecutionError(RuntimeError):
@@ -39,6 +43,10 @@ class NoFittingQpuError(ExecutionError):
 
 
 class KnitShapeError(ExecutionError):
+    pass
+
+
+class KnitOverflowError(ExecutionError):
     pass
 
 
@@ -238,86 +246,54 @@ def execute(program: CompiledProgram, assignment: dict[int, str] | None = None,
 
 def _fragment_tables(results: FragmentResults):
     """Per fragment: (global-stride, local-stride) pairs for index digit
-    extraction plus per-local-instance key/value arrays with keys already
-    scattered to original output-bit positions."""
+    extraction, the sorted union u_j of its output keys scattered to original
+    output-bit positions, and a 6^k_j x |u_j| table of its instance values
+    over u_j."""
     k = len(results.gate_order)
     gstride = {gid: 6 ** (k - 1 - t) for t, gid in enumerate(results.gate_order)}
     tables = []
     for entry in results.entries:
         kj = len(entry.gate_ids)
-        if len(entry.distributions) != 6 ** kj:
+        rows = len(entry.distributions)
+        if rows != 6 ** kj:
             raise KnitShapeError(
-                f"fragment {entry.fragment_index} has "
-                f"{len(entry.distributions)} results, expected {6 ** kj}")
+                f"fragment {entry.fragment_index} has {rows} results, "
+                f"expected {6 ** kj}")
         strides = [(gstride[gid], 6 ** (kj - 1 - t))
                    for t, gid in enumerate(entry.gate_ids)]
-        keys_list, vals_list = [], []
-        for dist in entry.distributions:
-            items = sorted(dist.entries.items())
-            local = np.array([key for key, _ in items], dtype=np.int64)
-            vals = np.array([v for _, v in items], dtype=np.float64)
-            keys = np.zeros_like(local)
-            for t, clbit in enumerate(entry.clbit_map):
-                keys |= ((local >> t) & 1) << clbit
-            # Bits beyond the fragment's recorded outputs (e.g. a fragment
-            # with no measured qubits at all) marginalize away: collapse
-            # duplicate scattered keys by addition.
-            if keys.size:
-                uniq, inverse = np.unique(keys, return_inverse=True)
-                if uniq.size != keys.size:
-                    summed = np.zeros(uniq.size)
-                    np.add.at(summed, inverse, vals)
-                    keys, vals = uniq, summed
-            keys_list.append(keys)
-            vals_list.append(vals)
-        tables.append((strides, keys_list, vals_list))
+        local = np.concatenate([d.keys for d in entry.distributions])
+        keys = np.zeros_like(local)
+        for t, clbit in enumerate(entry.clbit_map):
+            keys |= ((local >> t) & 1) << clbit
+        union, column = np.unique(keys, return_inverse=True)
+        row = np.repeat(np.arange(rows), [d.keys.size for d in entry.distributions])
+        # Unrecorded fragment bits marginalize away: scattered keys that
+        # collide within one instance are added.
+        values = np.concatenate([d.values for d in entry.distributions])
+        table = np.bincount(row * union.size + column, weights=values,
+                            minlength=rows * union.size)
+        tables.append((strides, union, table.reshape(rows, union.size)))
     return tables
 
 
 def _knit_range(args):
-    start, end, coeff, tables, num_bits = args
-    dense = num_bits <= _DENSE_BITS_LIMIT
-    acc_dense = np.zeros(1 << num_bits) if dense else None
-    acc_sparse: dict[int, float] = {}
+    start, end, coeff, tables = args
+    shape = [union.size for _, union, _ in tables]
+    acc = np.zeros(shape)
+    # One buffer per Kronecker step, so no instance allocates an array.
+    steps = [np.empty(shape[:j + 1]) for j in range(len(shape))]
     for i in range(start, end):
         c_i = coeff[i]
         if c_i == 0.0:
             continue
-        keys = None
-        vals = None
-        empty = False
-        for strides, keys_list, vals_list in tables:
+        term = c_i
+        for (strides, _, table), out in zip(tables, steps):
             li = 0
             for gs, ls in strides:
                 li += ((i // gs) % 6) * ls
-            fk = keys_list[li]
-            if fk.size == 0:
-                empty = True
-                break
-            fv = vals_list[li]
-            if keys is None:
-                keys, vals = fk, fv
-            else:
-                keys = (keys[:, None] | fk[None, :]).ravel()
-                vals = (vals[:, None] * fv[None, :]).ravel()
-        if empty:
-            continue
-        if keys is None:  # program with no fragments
-            keys = np.zeros(1, dtype=np.int64)
-            vals = np.ones(1)
-        if dense:
-            # Keys are unique within one instance (fragments own disjoint
-            # output bits), so fancy-index accumulation is safe.
-            acc_dense[keys] += c_i * vals
-        else:
-            for key, v in zip(keys.tolist(), vals.tolist()):
-                acc_sparse[key] = acc_sparse.get(key, 0.0) + c_i * v
-    if dense:
-        nz = np.nonzero(acc_dense)[0]
-        return nz, acc_dense[nz]
-    items = sorted(acc_sparse.items())
-    return (np.array([k for k, _ in items], dtype=np.int64),
-            np.array([v for _, v in items]))
+            term = np.multiply.outer(term, table[li], out=out)
+        acc += term
+    return acc
 
 
 def knit(results: FragmentResults, coeffs: GlobalCoefficients,
@@ -327,9 +303,10 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
     Computes sum_i C[i] * (x)_j dist_j(i_j): the global instance index i is
     decomposed into base-6 digits in gate order (last gate fastest), each
     fragment reads the digits of the gates touching it, and fragment
-    bitstrings are scattered back to original output-bit positions. The
+    bitstrings are scattered back to original output-bit positions. One
+    accumulator spans the product of the fragments' key unions. The
     coefficient vector is split into ``workers`` contiguous ranges whose
-    sparse partial sums are added.
+    accumulators are added.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -342,10 +319,13 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
             f"coefficient vector has {len(coeffs.values)} entries, "
             f"expected {total}")
     tables = _fragment_tables(results)
-    num_bits = results.num_clbits
+    size = math.prod(union.size for _, union, _ in tables)
+    if size > MAX_KNIT_ENTRIES:
+        raise KnitOverflowError(
+            f"knit accumulator needs {size} entries (limit {MAX_KNIT_ENTRIES})")
 
     bounds = [round(total * w / workers) for w in range(workers + 1)]
-    ranges = [(bounds[w], bounds[w + 1], coeffs.values, tables, num_bits)
+    ranges = [(bounds[w], bounds[w + 1], coeffs.values, tables)
               for w in range(workers) if bounds[w] < bounds[w + 1]]
     if len(ranges) <= 1:
         parts = [_knit_range(r) for r in ranges]
@@ -354,20 +334,13 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_knit_range, ranges)
 
-    if num_bits <= _DENSE_BITS_LIMIT:
-        dense = np.zeros(1 << num_bits)
-        for keys, vals in parts:
-            dense[keys] += vals  # keys are unique within each partial sum
-        nz = np.nonzero(np.abs(dense) >= _KNIT_OUTPUT_EPS)[0]
-        entries = dict(zip(nz.tolist(), dense[nz].tolist()))
-    else:
-        acc: dict[int, float] = {}
-        for keys, vals in parts:
-            for key, v in zip(keys.tolist(), vals.tolist()):
-                acc[key] = acc.get(key, 0.0) + v
-        entries = {key: v for key, v in acc.items()
-                   if abs(v) >= _KNIT_OUTPUT_EPS}
-    return SignedDistribution(entries, num_bits)
+    values = sum(parts).ravel()
+    # Fragments own disjoint output bits, so the OR-products are unique.
+    keys = np.zeros(1, dtype=np.int64)
+    for _, union, _ in tables:
+        keys = (keys[:, None] | union[None, :]).ravel()
+    keep = np.abs(values) >= _KNIT_OUTPUT_EPS
+    return SignedDistribution.from_arrays(keys[keep], values[keep], results.num_clbits)
 
 
 def run_program(program: CompiledProgram, mode: str = "exact",

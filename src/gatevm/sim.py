@@ -5,9 +5,10 @@ with a branch axis, so each gate is applied once to the whole batch; a
 mid-circuit measurement or reset replaces every row by its outcome-0 row
 and then its outcome-1 row. Exact mode returns a signed outcome
 distribution; sampled mode draws seeded shots from the exact joint branch
-distribution, which is statistically identical to per-shot collapse. Also
-hosts the Choi-matrix channel oracle used to validate quasi-probability
-gate decompositions.
+distribution, which is statistically identical to per-shot collapse.
+Results hold int64 key arrays with their values, and dict views for the
+edge. Also hosts the Choi-matrix channel oracle that validates
+quasi-probability gate decompositions.
 
 Bit order: qubit 0 is the least significant bit of every bitstring key.
 Every run owns its state; there is no shared mutable state between runs.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +36,28 @@ class SimulationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # distributions
 
-@dataclass
 class SignedDistribution:
-    """Sparse map bitstring -> signed real over ``num_bits`` output bits."""
+    """Signed weights over ``num_bits`` output bits: unique int64 ``keys`` in
+    any order with float64 ``values``. ``entries`` is a read-only dict view in
+    ascending key order, built on first access."""
 
-    entries: dict[int, float]
-    num_bits: int
+    def __init__(self, entries: dict[int, float], num_bits: int):
+        self.keys = np.fromiter(entries, np.int64, len(entries))
+        self.values = np.fromiter(entries.values(), np.float64, len(entries))
+        self.num_bits = num_bits
+
+    @classmethod
+    def from_arrays(cls, keys: np.ndarray, values: np.ndarray,
+                    num_bits: int) -> "SignedDistribution":
+        """Wrap unique int64 keys and their float64 values without copying."""
+        dist = cls({}, num_bits)
+        dist.keys, dist.values = keys, values
+        return dist
+
+    @cached_property
+    def entries(self) -> dict[int, float]:
+        order = np.argsort(self.keys)
+        return dict(zip(self.keys[order].tolist(), self.values[order].tolist()))
 
     def __getitem__(self, key: int) -> float:
         return self.entries.get(key, 0.0)
@@ -51,7 +69,7 @@ class SignedDistribution:
         return format(key, f"0{max(self.num_bits, 1)}b")
 
     def as_strings(self) -> dict[str, float]:
-        return {self.bitstring(k): v for k, v in sorted(self.entries.items())}
+        return {self.bitstring(k): v for k, v in self.entries.items()}
 
     @classmethod
     def from_strings(cls, data: dict[str, float]) -> "SignedDistribution":
@@ -69,17 +87,27 @@ class SignedDistribution:
 
 @dataclass
 class ShotCounts:
-    """Sampling result: raw counts plus sign-weighted counts per bitstring."""
+    """Sampling result over the drawn bitstrings: unique int64 ``keys`` with
+    raw and sign-weighted int64 counts, and dict views of both."""
 
-    counts: dict[int, int]
-    signed_sum: dict[int, int]
+    keys: np.ndarray
+    hits: np.ndarray
+    signed: np.ndarray
     shots: int
     num_bits: int
 
+    @property
+    def counts(self) -> dict[int, int]:
+        return dict(zip(self.keys.tolist(), self.hits.tolist()))
+
+    @property
+    def signed_sum(self) -> dict[int, int]:
+        return dict(zip(self.keys.tolist(), self.signed.tolist()))
+
     def to_signed_distribution(self) -> SignedDistribution:
-        return SignedDistribution(
-            {k: v / self.shots for k, v in self.signed_sum.items() if v != 0},
-            self.num_bits)
+        nz = self.signed != 0
+        return SignedDistribution.from_arrays(
+            self.keys[nz], self.signed[nz] / self.shots, self.num_bits)
 
 
 def linf_distance(a: SignedDistribution, b: SignedDistribution) -> float:
@@ -279,9 +307,8 @@ def run_exact(c: Circuit) -> SignedDistribution:
     uniq, inverse = np.unique(keys, return_inverse=True)
     # bincount adds in input order, as a running sum per key would.
     sums = np.bincount(inverse, weights=signs * probs)
-    entries = {k: v for k, v in zip(uniq.tolist(), sums.tolist())
-               if abs(v) >= _OUTPUT_EPS}
-    return SignedDistribution(entries, ev.num_bits)
+    keep = np.abs(sums) >= _OUTPUT_EPS
+    return SignedDistribution.from_arrays(uniq[keep], sums[keep], ev.num_bits)
 
 
 def run_sampled(c: Circuit, shots: int, seed: int) -> ShotCounts:
@@ -301,9 +328,7 @@ def run_sampled(c: Circuit, shots: int, seed: int) -> ShotCounts:
     counts = np.bincount(inverse, weights=drawn).astype(np.int64)
     signed = np.bincount(inverse, weights=signs * drawn).astype(np.int64)
     hit = counts > 0
-    keys_hit = uniq[hit].tolist()
-    return ShotCounts(dict(zip(keys_hit, counts[hit].tolist())),
-                      dict(zip(keys_hit, signed[hit].tolist())), shots, ev.num_bits)
+    return ShotCounts(uniq[hit], counts[hit], signed[hit], shots, ev.num_bits)
 
 
 # ---------------------------------------------------------------------------

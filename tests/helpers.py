@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented with different machinery than
 the package under test: dense Kronecker-product unitaries, density-matrix
-channel evolution, unpruned partition enumeration, and a Floyd-Warshall
-reachability closure.
+channel evolution, unpruned partition enumeration, a Floyd-Warshall
+reachability closure, and a knitter that loops over global instances in
+plain Python with dict accumulation.
 """
 from __future__ import annotations
 
@@ -241,3 +242,36 @@ def closure_dependencies(c: Circuit) -> set[tuple[int, int]]:
                         if qi != qj:
                             pairs.add((qi, qj))
     return pairs
+
+
+def reference_knit(results, coeffs) -> dict[int, float]:
+    """sum_i C[i] * (x)_j dist_j(i_j) over every global instance i, one
+    output key at a time; entries below 1e-12 in magnitude are dropped.
+
+    Digits of i are base 6 in gate order, last gate fastest; fragment keys
+    are scattered to their original output bits, and keys that collide
+    there (unmeasured fragment qubits) are added.
+    """
+    order = list(results.gate_order)
+    k = len(order)
+    out: dict[int, float] = {}
+    for i, c in enumerate(coeffs.values.tolist()):
+        if c == 0.0:
+            continue
+        digits = [(i // 6 ** (k - 1 - t)) % 6 for t in range(k)]
+        terms = {0: 1.0}
+        for entry in results.entries:
+            local = 0
+            for gid in entry.gate_ids:
+                local = 6 * local + digits[order.index(gid)]
+            scattered: dict[int, float] = {}
+            for key, v in entry.distributions[local].entries.items():
+                g = 0
+                for t, clbit in enumerate(entry.clbit_map):
+                    g |= ((key >> t) & 1) << clbit
+                scattered[g] = scattered.get(g, 0.0) + v
+            terms = {a | b: va * vb for a, va in terms.items()
+                     for b, vb in scattered.items()}
+        for key, v in terms.items():
+            out[key] = out.get(key, 0.0) + c * v
+    return {key: v for key, v in out.items() if abs(v) >= 1e-12}

@@ -5,6 +5,7 @@ import pytest
 
 from gatevm.bench import BenchmarkSpec, generate_benchmark
 from gatevm.cli import EXIT_PIPELINE_FAILURE, EXIT_VERIFY_FAILURE, _workers, main
+from gatevm.harness import experiment, report_to_json
 from gatevm.qasm import emit_qasm
 from gatevm.qpu import fleet_to_json, line_qpu
 from gatevm.transpiler import esp, map_and_route
@@ -158,6 +159,20 @@ def test_experiment_reports_are_byte_identical(tmp_path):
     header = outs[0][1].splitlines()[0]
     for column in ("fidelity", "uncut_depth", "max_frag_cnots", "deps_after"):
         assert column in header
+
+
+def test_experiment_timings_name_each_stage():
+    cfg = {
+        "benchmarks": [{"family": "ghz", "num_qubits": 6, "seed": 0}],
+        "pass_config": {"max_fragment_size": 3, "budget": 2, "seed": 0},
+        "mode": "exact",
+    }
+    plain = experiment(cfg)
+    timed = experiment({**cfg, "include_timings": True})
+    timings = timed["cases"][0].pop("timings")
+    assert set(timings) == {"compile", "global_coefficients", "execute", "knit"}
+    assert "timings" not in plain["cases"][0]
+    assert report_to_json(timed) == report_to_json(plain)
 
 
 def test_experiment_empty_benchmark_list(tmp_path, capsys):

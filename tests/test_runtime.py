@@ -1,14 +1,19 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gatevm.circuit import Circuit, instr
 from gatevm.codegen import Placeholder, generate
 from gatevm.qpu import QpuModel, QpuError, fleet_from_json, fleet_to_json, line_qpu
 from gatevm.runtime import (
+    MAX_KNIT_ENTRIES,
+    FragmentResultEntry,
     FragmentResults,
+    GlobalCoefficients,
     InstantiationOverflowError,
+    KnitOverflowError,
     KnitShapeError,
     NoFittingQpuError,
     execute,
@@ -18,11 +23,11 @@ from gatevm.runtime import (
     run_program,
     schedule,
 )
-from gatevm.sim import linf_distance, run_exact
+from gatevm.sim import SignedDistribution, linf_distance, run_exact
 from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
-from helpers import random_circuit
+from helpers import random_circuit, reference_knit
 
 
 def compiled(circuit, vgate_ids):
@@ -319,6 +324,104 @@ def test_partial_measurement_marginalizes_unmeasured_qubits():
     knitted = run_program(prog)
     assert knitted.num_bits == 2
     assert knitted.as_strings() == pytest.approx({"00": 0.5, "11": 0.5})
+
+
+def assert_knit_matches_reference(results, coeffs):
+    expected = reference_knit(results, coeffs)
+    for workers in (1, 2):
+        got = knit(results, coeffs, workers=workers)
+        assert set(got.entries) == set(expected)
+        assert max((abs(got[key] - v) for key, v in expected.items()),
+                   default=0.0) <= 1e-12
+
+
+def random_cut_program(rng):
+    n = rng.randint(3, 7)
+    c = random_circuit(rng, n, rng.randint(n, 2 * n), two_qubit_prob=0.6)
+    vc = from_circuit(c)
+    gates = [g.id for g in vc.real_gates()]
+    for gid in rng.sample(gates, min(len(gates), rng.randint(1, 3))):
+        virt_gate(vc, gid)
+    return generate(vc)
+
+
+def test_knit_matches_reference_on_random_cut_programs():
+    rng = random.Random(31)
+    for _ in range(8):
+        prog = random_cut_program(rng)
+        mode = rng.choice(["exact", "sampled"])
+        results = execute(prog, mode=mode, shots=500, seed=rng.randrange(99))
+        assert_knit_matches_reference(results, global_coefficients(prog))
+
+
+def test_knit_matches_reference_with_zero_coefficients():
+    prog = random_cut_program(random.Random(5))
+    results = execute(prog, mode="exact")
+    coeffs = global_coefficients(prog)
+    values = coeffs.values.copy()
+    values[::3] = 0.0
+    assert_knit_matches_reference(
+        results, GlobalCoefficients(values, coeffs.gate_order))
+
+
+def test_knit_matches_reference_with_unmeasured_fragment():
+    c = Circuit(3, num_clbits=2)
+    c.add("h", 0)
+    c.add("cx", 0, 1)
+    c.add("ry", 2, angle=0.4)
+    c.add("cx", 1, 2)
+    c.add("measure", 0, clbit=0)
+    c.add("measure", 1, clbit=1)
+    prog = compiled(c, [1])
+    results = execute(prog, mode="exact")
+    assert any(not e.clbit_map for e in results.entries)
+    assert_knit_matches_reference(results, global_coefficients(prog))
+
+
+def test_knit_matches_reference_with_empty_instance_distribution():
+    prog = random_cut_program(random.Random(9))
+    results = execute(prog, mode="exact")
+    entry = next(e for e in results.entries if len(e.distributions) > 1)
+    entry.distributions[1] = SignedDistribution({}, entry.distributions[1].num_bits)
+    assert_knit_matches_reference(results, global_coefficients(prog))
+
+
+def test_knit_ghz24_in_six_qubit_fragments():
+    ghz = Circuit(24, [instr("h", 0)] + [instr("cx", q, q + 1) for q in range(23)])
+    vc = from_circuit(ghz)
+    for g in vc.real_gates():
+        if g.qubits in ((5, 6), (11, 12), (17, 18)):
+            virt_gate(vc, g.id)
+    prog = generate(vc)
+    assert [pc.num_qubits for pc in prog.fragments] == [6, 6, 6, 6]
+    results = execute(prog, mode="exact")
+    coeffs = global_coefficients(prog)
+    got = knit(results, coeffs)
+    assert got.num_bits == 24
+    assert set(got.entries) == {0, (1 << 24) - 1}
+    assert got[0] == pytest.approx(0.5, abs=1e-12)
+    assert got[(1 << 24) - 1] == pytest.approx(0.5, abs=1e-12)
+    assert_knit_matches_reference(results, coeffs)
+
+
+def test_knit_refuses_oversized_accumulator():
+    # Four one-instance fragments with 64 keys each: 64^4 = 2^24 accumulator
+    # entries, over the limit, refused before the 128 MiB array exists.
+    entries = [FragmentResultEntry(
+        j, [], list(range(6 * j, 6 * j + 6)),
+        [SignedDistribution({key: 1.0 / 64 for key in range(64)}, 6)])
+        for j in range(4)]
+    results = FragmentResults(entries, [], 24)
+    coeffs = GlobalCoefficients(np.ones(1), [])
+    assert 64 ** 4 > MAX_KNIT_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(KnitOverflowError):
+            knit(results, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

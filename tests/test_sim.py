@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import statistics
 
@@ -200,6 +201,31 @@ def test_clipped_probabilities():
     d = SignedDistribution({0: 0.75, 1: -0.25, 2: 0.75}, 2)
     clipped = d.clipped_probabilities()
     assert clipped == pytest.approx({0: 0.5, 2: 0.5})
+
+
+@pytest.mark.parametrize("entries", [{}, {5: 0.625, 0: -0.125, 2: 0.5}])
+def test_signed_distribution_from_dict_and_from_arrays_agree(entries):
+    # Keys deliberately out of order: the array form keeps them unsorted.
+    from_dict = SignedDistribution(entries, 3)
+    from_arrays = SignedDistribution.from_arrays(
+        np.array(list(entries), dtype=np.int64),
+        np.array(list(entries.values()), dtype=np.float64), 3)
+    for dist in (from_dict, from_arrays, pickle.loads(pickle.dumps(from_arrays))):
+        assert dist.entries == entries
+        assert list(dist.entries) == sorted(entries)
+        assert dist.total() == sum(entries[k] for k in sorted(entries))
+        assert dist.as_strings() == {format(k, "03b"): v
+                                     for k, v in sorted(entries.items())}
+        assert [dist[k] for k in range(8)] == [entries.get(k, 0.0)
+                                               for k in range(8)]
+        if entries:
+            assert dist.clipped_probabilities() == {5: 0.625 / 1.125,
+                                                    2: 0.5 / 1.125}
+        else:
+            with pytest.raises(SimulationError):
+                dist.clipped_probabilities()
+        back = pickle.loads(pickle.dumps(dist))
+        assert back.entries == entries and back.num_bits == 3
 
 
 def _pinned_branching_circuit() -> Circuit:
