@@ -59,10 +59,6 @@ class Instruction:
         if self.sign and self.kind != "measure":
             raise CircuitError("only measurements carry a sign flag")
 
-    @property
-    def is_gate(self) -> bool:
-        return self.kind in GATES_1Q or self.kind in GATES_2Q
-
     def remap(self, qubit_map: dict[int, int]) -> "Instruction":
         return replace(self, qubits=tuple(qubit_map[q] for q in self.qubits))
 
@@ -116,10 +112,6 @@ class Circuit:
         """(position, instruction) for every real two-qubit gate."""
         return [(i, ins) for i, ins in enumerate(self.instructions)
                 if ins.kind in GATES_2Q]
-
-    def measured_clbits(self) -> list[int]:
-        return sorted({ins.clbit for ins in self.instructions
-                       if ins.kind == "measure" and ins.clbit is not None})
 
 
 def circuits_equal(a: Circuit, b: Circuit, angle_tol: float = 1e-12) -> bool:

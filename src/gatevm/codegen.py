@@ -16,10 +16,11 @@ import numpy as np
 from .circuit import Circuit, Instruction, instr
 from .decomp import LocalAction
 from .qasm import emit_qasm, parse_qasm
-from .vc import Gate2, VirtualCircuit, VirtualSide
+from .vc import Gate2, VirtualCircuit, VirtualSide, element_wires
 
 _SELF_INVERSE = frozenset({"h", "x", "y", "z", "cx", "cz"})
 _MERGEABLE = frozenset({"rx", "ry", "rz", "rzz"})
+_OPTIMIZABLE = _SELF_INVERSE | _MERGEABLE
 _ANGLE_EPS = 1e-12
 
 
@@ -128,13 +129,7 @@ class CompiledProgram:
         return len(self.gate_order)
 
 
-def _element_wires(el) -> tuple[int, ...]:
-    if isinstance(el, Placeholder):
-        return (el.qubit,)
-    return el.qubits
-
-
-def generate(vc: VirtualCircuit, optimize: bool = True) -> CompiledProgram:
+def generate(vc: VirtualCircuit) -> CompiledProgram:
     """Extract one parameterized circuit per fragment.
 
     For a virtual gate spanning two fragments, side A lands in the first
@@ -188,7 +183,7 @@ def generate(vc: VirtualCircuit, optimize: bool = True) -> CompiledProgram:
                 entries = vc.virtual_gates[el.gate_id].decomposition.entries
                 vectors.append(tuple(
                     (e.a if el.side == "a" else e.b) for e in entries))
-        pc = ParamCircuit(
+        param_circuits.append(peephole_optimize(ParamCircuit(
             num_qubits=len(frag.wires),
             elements=els,
             param_vectors=vectors,
@@ -196,10 +191,7 @@ def generate(vc: VirtualCircuit, optimize: bool = True) -> CompiledProgram:
             qubit_map=list(frag.wires),
             fragment_index=frag.index,
             name=f"{vc.name}_f{frag.index}",
-        )
-        if optimize:
-            pc = peephole_optimize(pc)
-        param_circuits.append(pc)
+        )))
 
     coeffs = {gid: vg.decomposition.coefficients()
               for gid, vg in vc.virtual_gates.items()}
@@ -214,69 +206,39 @@ def peephole_optimize(pc: ParamCircuit) -> ParamCircuit:
     Two operations are adjacent when no other element touches any of their
     wires in between; placeholders, measurements, resets and barriers block
     optimization on their wires.
-    """
-    els = list(pc.elements)
-    changed = True
-    while changed:
-        changed = False
-        follower = [dict() for _ in els]  # wire -> next element index
-        last: dict[int, int] = {}
-        for i, el in enumerate(els):
-            for w in _element_wires(el):
-                if w in last:
-                    follower[last[w]][w] = i
-                last[w] = i
-        remove: set[int] = set()
-        retune: dict[int, float] = {}
-        for i, el in enumerate(els):
-            if i in remove or isinstance(el, Placeholder):
-                continue
-            if el.kind not in _SELF_INVERSE and el.kind not in _MERGEABLE:
-                continue
-            nexts = {follower[i].get(w) for w in el.qubits}
-            if len(nexts) != 1 or None in nexts:
-                continue
-            j = nexts.pop()
-            if j in remove or isinstance(els[j], Placeholder):
-                continue
-            other = els[j]
-            if other.kind != el.kind:
-                continue
-            same_pair = (other.qubits == el.qubits or
-                         (el.kind in ("rzz", "cz") and
-                          set(other.qubits) == set(el.qubits)))
-            if not same_pair:
-                continue
-            if el.kind in _SELF_INVERSE:
-                remove.update((i, j))
-                changed = True
-            else:
-                total = el.angle + other.angle
-                remove.add(j)
-                if abs(total) < _ANGLE_EPS:
-                    remove.add(i)
-                else:
-                    retune[i] = total
-                changed = True
-        if changed:
-            new_els = []
-            for i, el in enumerate(els):
-                if i in remove:
-                    continue
-                if i in retune:
-                    el = replace(el, angle=retune[i])
-                new_els.append(el)
-            els = new_els
 
-    vectors = []
-    ph_in_old = [el for el in pc.elements if isinstance(el, Placeholder)]
-    vec_of = dict(zip(
-        [(p.gate_id, p.side) for p in ph_in_old], pc.param_vectors))
-    for el in els:
-        if isinstance(el, Placeholder):
-            vectors.append(vec_of[(el.gate_id, el.side)])
-    return ParamCircuit(pc.num_qubits, els, vectors, pc.clbit_map,
-                        pc.qubit_map, pc.fragment_index, pc.name)
+    One sweep keeps, per wire, the last kept element (its top). A new
+    operation meets its partner when one element is the top on all of its
+    wires. Removing that partner restores the tops it covered, so pairs
+    exposed by a removal cancel in the same sweep; a merged rotation stays
+    at the partner's position.
+    """
+    els: list = []  # kept elements; None where a later one cancelled it
+    covered: list[dict[int, int | None]] = []  # per element: tops it covered
+    top: dict[int, int | None] = {}
+    for el in pc.elements:
+        wires = element_wires(el)
+        j = top.get(wires[0])
+        other = els[j] if j is not None else None
+        if (not isinstance(el, Placeholder) and el.kind in _OPTIMIZABLE
+                and isinstance(other, Instruction) and other.kind == el.kind
+                and all(top.get(w) == j for w in wires)
+                and (other.qubits == el.qubits or
+                     (el.kind in ("rzz", "cz") and
+                      set(other.qubits) == set(el.qubits)))):
+            total = None if el.kind in _SELF_INVERSE else other.angle + el.angle
+            if total is None or abs(total) < _ANGLE_EPS:
+                els[j] = None
+                top.update(covered[j])
+            else:
+                els[j] = replace(other, angle=total)
+            continue
+        covered.append({w: top.get(w) for w in wires})
+        top.update((w, len(els)) for w in wires)
+        els.append(el)
+    return ParamCircuit(pc.num_qubits, [el for el in els if el is not None],
+                        list(pc.param_vectors), pc.clbit_map, pc.qubit_map,
+                        pc.fragment_index, pc.name)
 
 
 # ---------------------------------------------------------------------------

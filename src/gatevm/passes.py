@@ -17,7 +17,8 @@ from networkx.algorithms.community import kernighan_lin_bisection
 
 from .circuit import instr
 from .vc import (Gate2, VirtualCircuit, VirtualSide, dependency_pairs,
-                 remove_gate_relinked, virt_between, virt_gate)
+                 element_wires, remove_gate_relinked, virt_between,
+                 virt_gate)
 
 EXACT_CUT_MAX_QUBITS = 14
 EXACT_DR_MAX_GATES = 16
@@ -321,35 +322,37 @@ def reduce_dependencies_greedy(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCi
 # ---------------------------------------------------------------------------
 # qubit reuser
 
-def _instruction_wires(x) -> tuple[int, ...]:
-    if isinstance(x, VirtualSide):
-        return (x.qubit,)
-    return x.qubits
-
-
 def _closure_of_wire(instructions: list, wire: int) -> set[int]:
     """Indices of all instructions the given wire's content depends on,
     including the wire's own instructions (per-wire chains plus two-qubit
-    joins define the dependency DAG)."""
-    preds: list[tuple[int, ...]] = []
-    last: dict[int, int] = {}
-    seeds: list[int] = []
-    for i, x in enumerate(instructions):
-        wires = _instruction_wires(x)
-        preds.append(tuple(last[w] for w in wires if w in last))
-        for w in wires:
-            last[w] = i
-        if wire in wires:
-            seeds.append(i)
+    joins define the dependency DAG).
+
+    One reverse walk: an instruction joins when it shares a wire with an
+    instruction that already joined (or acts on ``wire``), because it then
+    precedes that instruction on the shared wire.
+    """
+    needed = {wire}
     closure: set[int] = set()
-    stack = list(seeds)
-    while stack:
-        i = stack.pop()
-        if i in closure:
-            continue
-        closure.add(i)
-        stack.extend(p for p in preds[i] if p not in closure)
+    for i in range(len(instructions) - 1, -1, -1):
+        wires = element_wires(instructions[i])
+        if not needed.isdisjoint(wires):
+            closure.add(i)
+            needed.update(wires)
     return closure
+
+
+def _wire_dependencies(instructions: list) -> dict[int, int]:
+    """Per wire, a bitmask of the wires its content depends on: the wires of
+    every instruction in :func:`_closure_of_wire`, from one forward sweep."""
+    dep: dict[int, int] = {}
+    for x in instructions:
+        wires = element_wires(x)
+        mask = 0
+        for w in wires:
+            mask |= dep.get(w, 0) | (1 << w)
+        for w in wires:
+            dep[w] = mask
+    return dep
 
 
 def _relabel_wire(x, src: int, dst: int):
@@ -402,14 +405,10 @@ def reuse_qubits(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
             frag = out.fragments[frag_index]
             if frag.width <= cfg.max_fragment_size:
                 break
-            candidates = []
-            for w_t in frag.wires:
-                closure = _closure_of_wire(out.instructions, w_t)
-                blocked = {w for i in closure
-                           for w in _instruction_wires(out.instructions[i])}
-                for w_s in frag.wires:
-                    if w_s != w_t and w_s not in blocked:
-                        candidates.append((w_t, w_s))
+            dep = _wire_dependencies(out.instructions)
+            candidates = [(w_t, w_s) for w_t in frag.wires
+                          for w_s in frag.wires
+                          if w_s != w_t and not dep.get(w_t, 0) & (1 << w_s)]
             if not candidates:
                 raise WidthUnreachableError(
                     f"fragment {frag.index} stuck at width {frag.width} > "

@@ -126,9 +126,8 @@ def _metric_proxy(pc: ParamCircuit) -> Circuit:
     return Circuit(pc.num_qubits, out, name=pc.name, num_clbits=pc.num_clbits)
 
 
-def schedule(fragments: list[ParamCircuit] | CompiledProgram,
-             qpus: list[QpuModel], alpha: float, beta: float,
-             seed: int = 0, gate_order: list[int] | None = None) -> dict[int, str]:
+def schedule(program: CompiledProgram, qpus: list[QpuModel], alpha: float,
+             beta: float, seed: int = 0) -> dict[int, str]:
     """Assign each fragment to the QPU with the highest score.
 
     A candidate must have enough qubits; it is transpiled once per
@@ -141,11 +140,8 @@ def schedule(fragments: list[ParamCircuit] | CompiledProgram,
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be >= 0")
-    if isinstance(fragments, CompiledProgram):
-        gate_order = fragments.gate_order
-        fragments = fragments.fragments
     assignment: dict[int, str] = {}
-    for pc in fragments:
+    for pc in program.fragments:
         candidates = sorted((q for q in qpus if q.num_qubits >= pc.num_qubits),
                             key=lambda q: q.name)
         if not candidates:
@@ -164,10 +160,7 @@ def schedule(fragments: list[ParamCircuit] | CompiledProgram,
             if best_score is None or score > best_score:
                 best, best_score = qpu, score
         assignment[pc.fragment_index] = best.name
-        touching = (pc.touching_gates(gate_order) if gate_order is not None
-                    else sorted({el.gate_id for el in pc.elements
-                                 if isinstance(el, Placeholder)}))
-        best.queue_length += 6 ** len(touching)
+        best.queue_length += 6 ** len(pc.touching_gates(program.gate_order))
     return assignment
 
 

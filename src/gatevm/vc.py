@@ -76,6 +76,14 @@ class Fragment:
 VInstruction = Instruction | Gate2 | VirtualSide
 
 
+def element_wires(x) -> tuple[int, ...]:
+    """Wires a stream element acts on. Single-wire elements (a
+    :class:`VirtualSide`, or a codegen placeholder) carry one ``qubit``."""
+    if isinstance(x, (Instruction, Gate2)):
+        return x.qubits
+    return (x.qubit,)
+
+
 @dataclass
 class VirtualCircuit:
     num_qubits: int
@@ -99,12 +107,6 @@ class VirtualCircuit:
             wires = tuple(sorted({self.wire_of[q] for q in qubits}))
             out.append(Fragment(i, qubits, wires))
         return out
-
-    def fragment_of(self, qubit: int) -> int:
-        for frag in self.fragments:
-            if qubit in frag.qubits:
-                return frag.index
-        raise VcError(f"unknown qubit {qubit}")
 
     def real_gates(self) -> list[Gate2]:
         return [x for x in self.instructions if isinstance(x, Gate2)]

@@ -4,16 +4,22 @@ Everything here is deliberately implemented with different machinery than
 the package under test: dense Kronecker-product unitaries, density-matrix
 channel evolution, unpruned partition enumeration, a Floyd-Warshall
 reachability closure, and a knitter that loops over global instances in
-plain Python with dict accumulation.
+plain Python with dict accumulation. The compiler's single-sweep passes
+are checked against the algorithms they replaced: a predecessor-list DFS
+for a wire's dependency closure, and a peephole optimizer that repeats
+whole rounds until no pair is left.
 """
 from __future__ import annotations
 
 import math
 import random
 
+from dataclasses import replace
+
 import numpy as np
 
 from gatevm.circuit import Circuit, GATES_2Q
+from gatevm.codegen import ParamCircuit, Placeholder
 
 _S2 = 1.0 / math.sqrt(2.0)
 H = np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex)
@@ -275,3 +281,95 @@ def reference_knit(results, coeffs) -> dict[int, float]:
         for key, v in terms.items():
             out[key] = out.get(key, 0.0) + c * v
     return {key: v for key, v in out.items() if abs(v) >= 1e-12}
+
+
+def _wires(x) -> tuple[int, ...]:
+    qubits = getattr(x, "qubits", None)
+    return (x.qubit,) if qubits is None else qubits
+
+
+def reference_closure(instructions: list, wire: int) -> set[int]:
+    """Indices of every instruction the wire's content depends on: build the
+    per-wire predecessor lists, then search back from the wire's own
+    instructions."""
+    preds: list[tuple[int, ...]] = []
+    last: dict[int, int] = {}
+    seeds: list[int] = []
+    for i, x in enumerate(instructions):
+        wires = _wires(x)
+        preds.append(tuple(last[w] for w in wires if w in last))
+        for w in wires:
+            last[w] = i
+        if wire in wires:
+            seeds.append(i)
+    closure: set[int] = set()
+    stack = list(seeds)
+    while stack:
+        i = stack.pop()
+        if i in closure:
+            continue
+        closure.add(i)
+        stack.extend(p for p in preds[i] if p not in closure)
+    return closure
+
+
+_SELF_INVERSE = frozenset({"h", "x", "y", "z", "cx", "cz"})
+_MERGEABLE = frozenset({"rx", "ry", "rz", "rzz"})
+
+
+def reference_peephole(pc: ParamCircuit) -> ParamCircuit:
+    """Peephole optimization in rounds until nothing changes. Each round
+    maps every element to its follower per wire, then cancels self-inverse
+    pairs and merges same-axis rotations (dropped below 1e-12) that follow
+    each other on all their wires."""
+    els = list(pc.elements)
+    changed = True
+    while changed:
+        changed = False
+        follower = [dict() for _ in els]  # wire -> next element index
+        last: dict[int, int] = {}
+        for i, el in enumerate(els):
+            for w in _wires(el):
+                if w in last:
+                    follower[last[w]][w] = i
+                last[w] = i
+        remove: set[int] = set()
+        retune: dict[int, float] = {}
+        for i, el in enumerate(els):
+            if i in remove or isinstance(el, Placeholder):
+                continue
+            if el.kind not in _SELF_INVERSE and el.kind not in _MERGEABLE:
+                continue
+            nexts = {follower[i].get(w) for w in el.qubits}
+            if len(nexts) != 1 or None in nexts:
+                continue
+            j = nexts.pop()
+            if j in remove or isinstance(els[j], Placeholder):
+                continue
+            other = els[j]
+            if other.kind != el.kind:
+                continue
+            same_pair = (other.qubits == el.qubits or
+                         (el.kind in ("rzz", "cz") and
+                          set(other.qubits) == set(el.qubits)))
+            if not same_pair:
+                continue
+            if el.kind in _SELF_INVERSE:
+                remove.update((i, j))
+            else:
+                total = el.angle + other.angle
+                remove.add(j)
+                if abs(total) < 1e-12:
+                    remove.add(i)
+                else:
+                    retune[i] = total
+            changed = True
+        if changed:
+            els = [replace(el, angle=retune[i]) if i in retune else el
+                   for i, el in enumerate(els) if i not in remove]
+    vec_of = dict(zip([(el.gate_id, el.side) for el in pc.elements
+                       if isinstance(el, Placeholder)], pc.param_vectors))
+    vectors = [vec_of[(el.gate_id, el.side)] for el in els
+               if isinstance(el, Placeholder)]
+    return ParamCircuit(pc.num_qubits, els, vectors, pc.clbit_map,
+                        pc.qubit_map, pc.fragment_index, pc.name)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from gatevm.codegen import (
     program_to_json,
 )
 from gatevm.sim import linf_distance, run_exact
-from gatevm.vc import from_circuit, virt_gate
+from gatevm.vc import element_wires, from_circuit, virt_gate
 
-from helpers import dense_unitary, random_circuit
+from helpers import dense_unitary, random_circuit, reference_peephole
 
 
 def split_bell_program():
@@ -153,6 +154,86 @@ def test_peephole_preserves_unitaries():
         idx = np.unravel_index(np.argmax(np.abs(before)), before.shape)
         phase = after[idx] / before[idx] if abs(before[idx]) > 1e-12 else 1.0
         assert np.allclose(before * phase, after, atol=1e-10)
+
+
+def _random_peephole_input(rng):
+    """Elements over 1-4 wires: placeholders, measurements, resets, barriers,
+    runs of 4-6 same-axis rotations, and mirrored segments whose inverse
+    follows them, so that removals expose further pairs."""
+    n = rng.randint(1, 4)
+    els, vectors = [], []
+
+    def gate():
+        if n >= 2 and rng.random() < 0.4:
+            kind = rng.choice(["cx", "cz", "rzz"])
+            angle = rng.choice([0.5, rng.uniform(-3, 3)]) if kind == "rzz" else None
+            return instr(kind, *rng.sample(range(n), 2), angle=angle)
+        kind = rng.choice(["h", "x", "z", "s", "rx", "rz"])
+        angle = rng.choice([0.5, rng.uniform(-3, 3)]) if kind[0] == "r" else None
+        return instr(kind, rng.randrange(n), angle=angle)
+
+    for _ in range(rng.randint(4, 14)):
+        q = rng.randrange(n)
+        r = rng.random()
+        if r < 0.1:
+            els.append(Placeholder(len(vectors), rng.choice("ab"), q))
+            vectors.append((f"vector{len(vectors)}",))
+        elif r < 0.15:
+            els.append(instr("measure", q, clbit=len(els)))
+        elif r < 0.2:
+            els.append(instr("reset", q))
+        elif r < 0.25:
+            els.append(instr("barrier", *rng.sample(range(n), min(n, 2))))
+        elif r < 0.45:
+            kind = rng.choice(["rx", "ry", "rz"])
+            for _ in range(rng.randint(4, 6)):
+                angle = rng.choice([0.25, -0.25, rng.uniform(-3, 3)])
+                els.append(instr(kind, q, angle=angle))
+        elif r < 0.75:
+            segment = [gate() for _ in range(rng.randint(1, 5))]
+            els.extend(segment)
+            els.extend(replace(x, angle=-x.angle) if x.angle is not None else x
+                       for x in reversed(segment))
+        else:
+            els.append(gate())
+    return ParamCircuit(n, els, vectors, [], list(range(n)), 0)
+
+
+def _wire_sequences(elements):
+    """Each wire's elements in order, as (token, angle). Equal sequences on
+    every wire mean the same circuit up to the order of elements on
+    disjoint wires."""
+    seqs: dict[int, list] = {}
+    for x in elements:
+        if isinstance(x, Placeholder):
+            entry = (x, None)
+        else:
+            entry = ((x.kind, x.qubits, x.clbit, x.sign), x.angle)
+        for w in element_wires(x):
+            seqs.setdefault(w, []).append(entry)
+    return seqs
+
+
+def test_peephole_matches_fixpoint_reference():
+    # The sweep may keep the other end of an odd run than the rounds do:
+    # cx(1,2) rzz(2,0;t) rzz(2,0;-t) s(0) cx(1,2) cx(1,2) keeps the last cx,
+    # after s(0), where the rounds keep the first. So elements on disjoint
+    # wires are compared per wire, not by their position in the list.
+    rng = random.Random(606)
+    removed = 0
+    for _ in range(400):
+        pc = _random_peephole_input(rng)
+        got, want = peephole_optimize(pc), reference_peephole(pc)
+        assert got.param_vectors == want.param_vectors
+        assert len(got.elements) == len(want.elements)
+        got_seqs, want_seqs = _wire_sequences(got.elements), _wire_sequences(want.elements)
+        assert got_seqs.keys() == want_seqs.keys()
+        for w, want_seq in want_seqs.items():
+            assert [t for t, _ in got_seqs[w]] == [t for t, _ in want_seq]
+            for (_, a), (_, b) in zip(got_seqs[w], want_seq):
+                assert (a is None and b is None) or abs(a - b) <= 1e-12
+        removed += len(pc.elements) - len(want.elements)
+    assert removed > 2000
 
 
 def test_generate_applies_peephole_once_per_fragment():

@@ -18,9 +18,13 @@ from gatevm.passes import (
     reuse_qubits,
     run_pipeline,
     solve_cut_exact,
+    _closure_of_wire,
+    _merge_wires,
+    _wire_dependencies,
 )
 from gatevm.sim import run_exact, run_sampled, total_variation
-from gatevm.vc import from_circuit, qubit_dependencies, to_circuit
+from gatevm.vc import (VirtualSide, element_wires, from_circuit,
+                       qubit_dependencies, to_circuit, virt_gate)
 
 from fixtures import (
     DEP_SHOWCASE_FREED,
@@ -29,7 +33,7 @@ from fixtures import (
     fully_dependent_circuit,
     two_cluster_circuit,
 )
-from helpers import brute_force_min_cut, random_circuit
+from helpers import brute_force_min_cut, random_circuit, reference_closure
 
 
 def random_weighted_graph(rng, n):
@@ -459,6 +463,52 @@ def test_reuse_respects_serialization_from_earlier_merges():
         # gate-level-only check would splice anyway and corrupt the result.
         with pytest.raises(WidthUnreachableError):
             reuse_qubits(from_circuit(c), cfg(2, 0, seed=seed))
+
+
+def _random_streams(rng):
+    """Instruction streams of one random circuit with barriers and some
+    virtualized gates: as built, then after each of up to three merges of a
+    pair the reference closure allows."""
+    n = rng.randint(2, 7)
+    c = random_circuit(rng, n, rng.randint(4, 30))
+    for _ in range(rng.randint(0, 3)):
+        wires = rng.sample(range(n), rng.randint(1, 2))
+        c.instructions.insert(rng.randrange(len(c.instructions) + 1),
+                              instr("barrier", *wires))
+    vc = from_circuit(c)
+    for gid in rng.sample(sorted(vc.gate_qubits), len(vc.gate_qubits) // 3):
+        virt_gate(vc, gid)
+    yield n, list(vc.instructions)
+    for _ in range(3):
+        pairs = []
+        for w_t in sorted(vc.wire_hosts):
+            blocked = {w for i in reference_closure(vc.instructions, w_t)
+                       for w in element_wires(vc.instructions[i])}
+            pairs.extend((w_t, w_s) for w_s in sorted(vc.wire_hosts)
+                         if w_s != w_t and w_s not in blocked)
+        if not pairs:
+            return
+        _merge_wires(vc, *rng.choice(pairs))
+        yield n, list(vc.instructions)
+
+
+def test_wire_closure_and_masks_match_reference():
+    rng = random.Random(2026)
+    kinds = {"side": 0, "barrier": 0, "reset": 0}
+    for _ in range(80):
+        for n, stream in _random_streams(rng):
+            dep = _wire_dependencies(stream)
+            for w in range(n):
+                closure = reference_closure(stream, w)
+                assert _closure_of_wire(stream, w) == closure
+                wires = {v for i in closure for v in element_wires(stream[i])}
+                assert dep.get(w, 0) == sum(1 << v for v in wires)
+            for x in stream:
+                if isinstance(x, VirtualSide):
+                    kinds["side"] += 1
+                elif getattr(x, "kind", None) in ("barrier", "reset"):
+                    kinds[x.kind] += 1
+    assert all(count > 20 for count in kinds.values()), kinds
 
 
 def test_pipeline_knit_equivalence_mini_campaign():
