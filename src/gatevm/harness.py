@@ -16,7 +16,7 @@ from .bench import BenchmarkSpec, generate_benchmark
 from .codegen import generate
 from .passes import PassConfig, run_pipeline
 from .qpu import QpuModel, fleet_from_json, preset_qpu, qpu_from_dict
-from .runtime import execute, global_coefficients, knit, schedule
+from .runtime import execute, global_coefficients, knit, metric_proxy, schedule
 from .sim import MAX_QUBITS, linf_distance, run_exact
 from .transpiler import cnot_count, depth, esp, hellinger_fidelity, map_and_route
 from .vc import from_circuit, qubit_dependencies
@@ -40,12 +40,10 @@ def resolve_fleet(fleet_spec, base_dir: Path) -> list[QpuModel]:
 
 
 def _fragment_metrics(program, assignment, fleet_by_name, seed):
-    from .runtime import _metric_proxy
-
     depths, cnots, esps = [], [], []
     for pc in program.fragments:
         qpu = fleet_by_name[assignment[pc.fragment_index]]
-        physical = map_and_route(_metric_proxy(pc), qpu, seed)
+        physical = map_and_route(metric_proxy(pc), qpu, seed)
         depths.append(depth(physical.circuit))
         cnots.append(cnot_count(physical.circuit))
         esps.append(esp(physical, qpu))
@@ -92,7 +90,7 @@ def run_case(spec: BenchmarkSpec, cfg: PassConfig, passes: tuple[str, ...],
     coeffs = global_coefficients(program)
     timings["global_coefficients"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    results = execute(program, assignment, mode, shots, seed, workers)
+    results = execute(program, assignment, mode, shots, seed)
     timings["execute"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     knitted = knit(results, coeffs, workers)

@@ -2,7 +2,8 @@
 
 The instantiator enumerates the 6^k_j decomposition choices of each
 fragment. The QPU manager scores simulated QPUs by queue length and
-estimated success probability. The knitter reconstructs the original
+estimated success probability. Execution runs all instances of a fragment
+as one batched statevector evolution. The knitter reconstructs the original
 circuit's quasi-distribution by summing, over all 6^k global instances,
 the coefficient-weighted Kronecker product of per-fragment result tables
 into one accumulator; the global coefficient vector is split into
@@ -20,7 +21,9 @@ import numpy as np
 from .circuit import Circuit, Instruction, instr
 from .codegen import CompiledProgram, ParamCircuit, Placeholder
 from .qpu import QpuModel
-from .sim import SignedDistribution, run_exact, run_sampled
+# run_exact and run_sampled stay importable from here for callers that
+# look the simulator up through this module.
+from .sim import SignedDistribution, Slot, run_batch, run_exact, run_sampled
 from .transpiler import esp, map_and_route
 
 MAX_FRAGMENT_INSTANCES = 10_000_000
@@ -62,9 +65,6 @@ class InstanceSet:
     gate_ids: list[int]
     instances: list[tuple[int, ...]]
     param_circuit: ParamCircuit
-
-    def circuit_for(self, indices: tuple[int, ...]) -> Circuit:
-        return self.param_circuit.instantiate(dict(zip(self.gate_ids, indices)))
 
 
 def instantiate(program: CompiledProgram) -> list[InstanceSet]:
@@ -115,7 +115,7 @@ def global_coefficients(program: CompiledProgram) -> GlobalCoefficients:
 # ---------------------------------------------------------------------------
 # QPU manager
 
-def _metric_proxy(pc: ParamCircuit) -> Circuit:
+def metric_proxy(pc: ParamCircuit) -> Circuit:
     """Fragment circuit with each placeholder counted as one 1-qubit op."""
     out: list[Instruction] = []
     for el in pc.elements:
@@ -148,7 +148,7 @@ def schedule(program: CompiledProgram, qpus: list[QpuModel], alpha: float,
             raise NoFittingQpuError(
                 f"no QPU fits fragment {pc.fragment_index} "
                 f"({pc.num_qubits} qubits)")
-        proxy = _metric_proxy(pc)
+        proxy = metric_proxy(pc)
         max_queue = max(q.queue_length for q in qpus)
         best = None
         best_score = None
@@ -187,22 +187,17 @@ def _instance_seed(seed: int, fragment_index: int, instance_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_instance(task) -> SignedDistribution:
-    circuit, mode, shots, seed = task
-    if mode == "exact":
-        return run_exact(circuit)
-    return run_sampled(circuit, shots, seed).to_signed_distribution()
-
-
 def execute(program: CompiledProgram, assignment: dict[int, str] | None = None,
             mode: str = "exact", shots: int = 20000, seed: int = 0,
             workers: int = 1) -> FragmentResults:
     """Run every instance of every fragment on the statevector backend.
 
-    ``assignment`` is bookkeeping from the scheduler; instances run on the
-    simulator either way. Results are collected in instance order, so the
-    outcome does not depend on worker interleaving. Exact mode ignores
+    Each fragment's 6^k_j instances are one batched evolution in this
+    process; a placeholder becomes a Slot whose action follows its gate's
+    digit of the instance index. Results are in instance order.
+    ``assignment`` is bookkeeping from the scheduler. Exact mode ignores
     ``shots``; sampled mode derives one child seed per instance.
+    ``workers`` is accepted but only :func:`knit` uses processes.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -211,26 +206,25 @@ def execute(program: CompiledProgram, assignment: dict[int, str] | None = None,
                    if pc.fragment_index not in assignment]
         if missing:
             raise ExecutionError(f"assignment misses fragments {missing}")
-    sets = instantiate(program)
-    tasks = []
-    offsets = []
-    for iset in sets:
-        offsets.append(len(tasks))
-        for idx, tup in enumerate(iset.instances):
-            tasks.append((iset.circuit_for(tup), mode, shots,
-                          _instance_seed(seed, iset.fragment_index, idx)))
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            dists = pool.map(_run_instance, tasks, chunksize=32)
-    else:
-        dists = [_run_instance(t) for t in tasks]
     entries = []
-    for iset, start in zip(sets, offsets):
+    for iset in instantiate(program):
+        pc, count = iset.param_circuit, len(iset.instances)
+        kj = len(iset.gate_ids)
+        stride = {gid: 6 ** (kj - 1 - t) for t, gid in enumerate(iset.gate_ids)}
+        vectors = iter(pc.param_vectors)
+        circuit = Circuit(pc.num_qubits, [
+            Slot(el.qubit, next(vectors), stride[el.gate_id])
+            if isinstance(el, Placeholder) else el for el in pc.elements],
+            name=pc.name, num_clbits=pc.num_clbits)
+        if mode == "exact":
+            dists = run_batch(circuit, count)
+        else:
+            seeds = [_instance_seed(seed, pc.fragment_index, i)
+                     for i in range(count)]
+            dists = [r.to_signed_distribution()
+                     for r in run_batch(circuit, count, shots, seeds)]
         entries.append(FragmentResultEntry(
-            iset.fragment_index, list(iset.gate_ids),
-            list(iset.param_circuit.clbit_map),
-            dists[start:start + len(iset.instances)]))
+            pc.fragment_index, list(iset.gate_ids), list(pc.clbit_map), dists))
     return FragmentResults(entries, list(program.gate_order), program.num_clbits)
 
 
@@ -340,5 +334,5 @@ def run_program(program: CompiledProgram, mode: str = "exact",
                 shots: int = 20000, seed: int = 0,
                 workers: int = 1) -> SignedDistribution:
     """Instantiate, execute and knit in one call."""
-    results = execute(program, None, mode, shots, seed, workers)
+    results = execute(program, None, mode, shots, seed)
     return knit(results, global_coefficients(program), workers)

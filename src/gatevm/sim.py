@@ -1,14 +1,16 @@
 """Statevector execution engine for circuit fragments.
 
-All mid-circuit-measurement branches of a run live in one amplitude array
-with a branch axis, so each gate is applied once to the whole batch; a
-mid-circuit measurement or reset replaces every row by its outcome-0 row
-and then its outcome-1 row. Exact mode returns a signed outcome
-distribution; sampled mode draws seeded shots from the exact joint branch
-distribution, which is statistically identical to per-shot collapse.
-Results hold int64 key arrays with their values, and dict views for the
-edge. Also hosts the Choi-matrix channel oracle that validates
-quasi-probability gate decompositions.
+One run evolves many instances of a circuit: a :class:`Slot` step applies
+an action chosen by the instance, every other step acts on all alike. The
+rows of one amplitude array are (instance, branch) pairs, so each gate is
+one call on the whole batch; a mid-circuit measurement or reset replaces
+each affected row by its outcome-0 row and then its outcome-1 row. Exact
+mode returns a signed outcome distribution per instance; sampled mode draws
+seeded shots per instance from the exact joint branch distribution, which
+is statistically identical to per-shot collapse. Results hold int64 key
+arrays with their values, and dict views for the edge. Also hosts the
+Choi-matrix channel oracle that validates quasi-probability gate
+decompositions.
 
 Bit order: qubit 0 is the least significant bit of every bitstring key.
 Every run owns its state; there is no shared mutable state between runs.
@@ -21,16 +23,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, GATES_1Q, GATES_2Q, Instruction
+from .circuit import Circuit, GATES_1Q, GATES_2Q
 from .decomp import GateDecomposition, LocalAction
 
 MAX_QUBITS = 26
+# Amplitudes a batch of instances aims to hold; see run_batch.
+BATCH_AMPLITUDES = 1 << 14
+# Amplitudes one instance's branches may hold (1 GiB of complex128).
+MAX_BRANCH_AMPLITUDES = 1 << 26
 _PRUNE_NORM_SQ = 1e-30
 _OUTPUT_EPS = 1e-14
 
 
 class SimulationError(RuntimeError):
     """Raised for circuits the engine cannot execute."""
+
+
+class BranchOverflowError(SimulationError):
+    """Raised when one instance's measurement branches outgrow the limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -172,126 +182,246 @@ def two_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise SimulationError(f"no matrix for two-qubit kind {kind!r}")
 
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+def _apply(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
+           inst: np.ndarray) -> np.ndarray:
+    """Apply a gate to each row of ``amps`` (rows, 2^n) bit for bit as a run
+    of the row's instance alone does, which makes one BLAS product over that
+    instance's rows (``inst`` names each row's instance, nondecreasing).
+    Rows giving the product four or more columns each come out the same in
+    one product over all rows; narrower ones get a product per instance,
+    batched over instances with equal row counts. Two-qubit matrices index
+    bit(first) + 2 * bit(second)."""
+    k, d, width = len(qubits), len(mat), (1 << n) >> len(qubits)
+    axes = [n - q for q in reversed(qubits)]
     t = amps.reshape([-1] + [2] * n)
-    axis = n - q
-    t = np.tensordot(mat, t, axes=([1], [axis]))
-    return np.moveaxis(t, 0, axis).reshape(amps.shape)
-
-
-def _apply_2q(amps: np.ndarray, mat4: np.ndarray, qa: int, qb: int,
-              n: int) -> np.ndarray:
-    # mat4 index convention: pair index = bit(qa) + 2*bit(qb)
-    t = amps.reshape([-1] + [2] * n)
-    ax_a, ax_b = n - qa, n - qb
-    m = mat4.reshape(2, 2, 2, 2)  # (b_out, a_out, b_in, a_in)
-    t = np.tensordot(m, t, axes=([2, 3], [ax_b, ax_a]))
-    return np.moveaxis(t, [0, 1], [ax_b, ax_a]).reshape(amps.shape)
+    if width >= 4:
+        out = np.tensordot(mat.reshape([2] * 2 * k), t,
+                           (list(range(k, 2 * k)), axes))
+        return np.moveaxis(out, list(range(k)), axes).reshape(amps.shape)
+    t = np.moveaxis(t, axes, list(range(1, k + 1)))
+    rows, out = t.reshape(len(amps), d, width), np.empty(t.shape, dtype=complex)
+    starts = np.flatnonzero(np.diff(inst, prepend=-1))
+    sizes = np.diff(np.append(starts, len(inst)))
+    for size in np.unique(sizes).tolist():
+        group = (starts[sizes == size][:, None] + np.arange(size)).ravel()
+        block = rows[group].reshape(-1, size, d, width).transpose(0, 2, 1, 3)
+        prod = np.matmul(mat, block.reshape(len(block), d, -1))
+        out[group] = prod.reshape(block.shape).transpose(0, 2, 1, 3).reshape(
+            (len(group),) + t.shape[1:])
+    return np.moveaxis(out, list(range(1, k + 1)), axes).reshape(amps.shape)
 
 
 # ---------------------------------------------------------------------------
-# branch evolution
+# batched evolution
+
+@dataclass(frozen=True)
+class Slot:
+    """A step whose action depends on the instance: instance ``i`` of a run
+    applies ``actions[(i // stride) % len(actions)]`` to ``qubit``."""
+
+    qubit: int
+    actions: tuple[LocalAction, ...]
+    stride: int = 1
+    # Circuit.validate and the evolution read every step through these names.
+    kind = "slot"
+    clbit = None
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.qubit,)
+
+    def choices(self, ids: np.ndarray) -> np.ndarray:
+        return (ids // self.stride) % len(self.actions)
+
 
 @dataclass
 class _Evolution:
-    # One row per live branch, in branch order. A row's amplitudes are
-    # unnormalized: its squared norm is the branch probability.
-    amps: np.ndarray                     # (branches, 2^n) complex
-    signs: np.ndarray                    # (branches,) +1 or -1
-    recorded: np.ndarray                 # (branches,) bits fixed mid-circuit
-    read_clbits: list[tuple[int, int]]   # (qubit, clbit) read at the end
-    sign_mask: int                       # qubits whose final bit flips the sign
-    num_bits: int
+    # One row per live (instance, branch) pair, instance-major and in branch
+    # order within an instance. A row's amplitudes are unnormalized: its
+    # squared norm is the branch probability.
+    amps: np.ndarray       # (rows, 2^n) complex
+    inst: np.ndarray       # (rows,) instance within the batch
+    signs: np.ndarray      # (rows,) +1 or -1
+    recorded: np.ndarray   # (rows,) bits fixed mid-circuit
+    reads: np.ndarray      # (instances,) qubits read at the end, as bits
+    sign_mask: np.ndarray  # (instances,) qubits whose final bit flips the sign
+    peak: int = 1          # most rows one instance has held
 
 
-def _last_use(instructions: list[Instruction]) -> dict[int, int]:
-    last: dict[int, int] = {}
-    for i, ins in enumerate(instructions):
-        if ins.kind == "barrier":
+def _terminal(steps: list, ids: np.ndarray) -> list:
+    """Per step and instance of ``ids``: no later step acts on the step's
+    (first) qubit. A later slot acts where the instance's action has
+    operations, so a measurement can be terminal for some instances only."""
+    none = np.zeros(len(ids), dtype=bool)
+    later: dict[int, np.ndarray] = {}
+    out: list = [None] * len(steps)
+    for i in range(len(steps) - 1, -1, -1):
+        st = steps[i]
+        if st.kind == "barrier":
             continue
-        for q in ins.qubits:
-            last[q] = i
-    return last
+        out[i] = ~later.get(st.qubits[0], none)
+        acts = (np.array([bool(a.ops) for a in st.actions])[st.choices(ids)]
+                if st.kind == "slot" else ~none)
+        for q in st.qubits:
+            later[q] = later.get(q, none) | acts
+    return out
 
 
-def _split(ev: _Evolution, q: int, sign: bool = False, clbit: int | None = None,
-           reset: bool = False) -> None:
-    """Branch every row on the value of qubit ``q``.
-
-    Each parent is replaced by its outcome-0 row and then its outcome-1 row;
-    rows whose squared norm is below ``_PRUNE_NORM_SQ`` are dropped. A reset
-    moves the outcome-1 amplitudes to the qubit's 0 half.
-    """
+def _split(ev: _Evolution, q: int, split_inst: np.ndarray, sign: bool = False,
+           clbit: int | None = None, reset: bool = False) -> None:
+    """Branch the rows of the instances in ``split_inst`` on qubit ``q``:
+    each becomes its outcome-0 row and then its outcome-1 row, dropping rows
+    of squared norm below ``_PRUNE_NORM_SQ``; other rows stay. A reset moves
+    the outcome-1 amplitudes to the 0 half. Refuses, before allocating, to
+    give one instance more than ``MAX_BRANCH_AMPLITUDES`` amplitudes."""
+    cut = split_inst[ev.inst]
+    if not cut.any():
+        return
     rows, size = ev.amps.shape
     halves = ev.amps.reshape(rows, size >> (q + 1), 2, 1 << q)
-    norms = (np.abs(halves) ** 2).sum(axis=(1, 3))  # (parent, outcome)
-    parent, outcome = np.nonzero(norms >= _PRUNE_NORM_SQ)
-    split = np.zeros((len(parent),) + halves.shape[1:], dtype=complex)
-    target = np.zeros_like(outcome) if reset else outcome
-    split[np.arange(len(parent)), :, target, :] = halves[parent, :, outcome, :]
-    ev.amps = split.reshape(len(parent), size)
+    keep = (np.abs(halves) ** 2).sum(axis=(1, 3)) >= _PRUNE_NORM_SQ
+    keep[~cut] = (True, False)
+    parent, outcome = np.nonzero(keep)
+    peak = int(np.bincount(ev.inst[parent]).max())
+    if peak * size > MAX_BRANCH_AMPLITUDES:
+        raise BranchOverflowError(
+            f"{peak} branches of {size} amplitudes exceed the limit of "
+            f"{MAX_BRANCH_AMPLITUDES} amplitudes per instance")
+    ev.peak = max(ev.peak, peak)
+    halves, one, r = halves[parent], outcome == 1, np.flatnonzero(cut[parent])
+    if reset:
+        halves[one, :, 0] = halves[one, :, 1]
+    halves[r, :, 1 if reset else 1 - outcome[r]] = 0
+    ev.amps = halves.reshape(len(parent), size)
+    ev.inst, ev.recorded = ev.inst[parent], ev.recorded[parent]
     ev.signs = ev.signs[parent]
     if sign:
-        ev.signs = np.where(outcome == 1, -ev.signs, ev.signs)
-    ev.recorded = ev.recorded[parent]
+        ev.signs = np.where(one, -ev.signs, ev.signs)
     if clbit is not None:
         ev.recorded = ev.recorded | (outcome << clbit)
 
 
-def _evolve(c: Circuit) -> _Evolution:
+def _apply_slot(ev: _Evolution, slot: Slot, choice: np.ndarray,
+                term: np.ndarray, n: int) -> None:
+    """Apply each instance's action (``choice``; ``term`` marks instances
+    for which the slot is its qubit's last use). Position by position, the
+    rows whose actions hold the same operation there take it at once."""
+    acts, q = slot.actions, slot.qubit
+    for o in range(max(len(a.ops) for a in acts)):
+        for op in dict.fromkeys(a.ops[o] for a in acts if len(a.ops) > o):
+            picked = np.array([a.ops[o:o + 1] == (op,) for a in acts])[choice]
+            if op.kind == "measure":
+                ends = np.array([len(a.ops) == o + 1 for a in acts])[choice]
+                ends &= picked & term
+                ev.sign_mask[ends] |= 1 << q
+                _split(ev, q, picked & ~ends, sign=True)
+            elif picked.all():
+                ev.amps = _apply(ev.amps, gate_matrix(op.kind, op.angle), (q,),
+                                 n, ev.inst)
+            else:
+                rows = np.flatnonzero(picked[ev.inst])
+                ev.amps[rows] = _apply(ev.amps[rows], gate_matrix(op.kind, op.angle),
+                                       (q,), n, ev.inst[rows])
+
+
+def _evolve(c: Circuit, ids: np.ndarray) -> _Evolution:
+    """Run instances ``ids`` of ``c``, one row each to start with."""
+    n, count = c.num_qubits, len(ids)
+    amps = np.zeros((count, 1 << n), dtype=complex)
+    amps[:, 0] = 1.0
+    zeros = np.zeros(count, dtype=np.int64)
+    ev = _Evolution(amps, np.arange(count), zeros + 1, zeros, zeros.copy(),
+                    zeros.copy())
+    for ins, term in zip(c.instructions, _terminal(c.instructions, ids)):
+        if ins.kind in GATES_1Q:
+            mat = gate_matrix(ins.kind, ins.angle)
+            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.inst)
+        elif ins.kind in GATES_2Q:
+            mat = two_qubit_matrix(ins.kind, ins.angle)
+            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.inst)
+        elif ins.kind == "slot":
+            _apply_slot(ev, ins, ins.choices(ids), term, n)
+        elif ins.kind == "measure":
+            # A terminal measurement reads its bit at finalization instead of
+            # branching, so whole-register readout stays linear.
+            q = ins.qubits[0]
+            if ins.clbit is not None:
+                ev.reads[term] |= 1 << q
+            if ins.sign:
+                ev.sign_mask[term] |= 1 << q
+            _split(ev, q, ~term, ins.sign, ins.clbit)
+        elif ins.kind == "reset":
+            _split(ev, ins.qubits[0], np.ones(count, dtype=bool), reset=True)
+    return ev
+
+
+def _outcomes(ev: _Evolution, read_map: dict[int, int]):
+    """Instance, key, sign and probability of every (row, basis state) pair
+    with nonzero probability, row by row."""
+    probs = np.abs(ev.amps) ** 2
+    row, idx = np.nonzero(probs > _PRUNE_NORM_SQ)
+    inst, keys = ev.inst[row], ev.recorded[row]
+    reads = ev.reads[inst] & idx
+    for q, c in read_map.items():
+        keys |= ((reads >> q) & 1) << c
+    flips = np.bitwise_count(idx & ev.sign_mask[inst]) & 1
+    signs = np.where(flips == 1, -ev.signs[row], ev.signs[row])
+    return inst, keys, signs, probs[row, idx]
+
+
+def run_batch(c: Circuit, count: int = 1, shots: int | None = None,
+              seeds: list[int] | None = None) -> list:
+    """Run ``count`` instances of a circuit whose instructions may include
+    :class:`Slot` steps; every other step acts on all instances alike.
+
+    Instances run in batches: one instance first, then as many as fit
+    ``BATCH_AMPLITUDES`` at the most rows an instance has reached so far.
+    Exact mode (``shots`` None) gives a SignedDistribution per instance;
+    sampled mode gives ShotCounts per instance, instance ``i`` drawn with
+    ``seeds[i]`` over its own (branch, basis state) pairs in row order.
+    """
     c.validate()
     n = c.num_qubits
     if n > MAX_QUBITS:
         raise SimulationError(f"{n} qubits exceeds engine limit of {MAX_QUBITS}")
-    records = any(ins.kind == "measure" and ins.clbit is not None
-                  for ins in c.instructions)
-    amps = np.zeros((1, 1 << n), dtype=complex)
-    amps[0, 0] = 1.0
-    ev = _Evolution(amps, np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                    [], 0, c.num_clbits if records else n)
-    last = _last_use(c.instructions)
-
-    for i, ins in enumerate(c.instructions):
-        if ins.kind == "barrier":
-            continue
-        if ins.kind in GATES_1Q:
-            mat = gate_matrix(ins.kind, ins.angle)
-            ev.amps = _apply_1q(ev.amps, mat, ins.qubits[0], n)
-        elif ins.kind in GATES_2Q:
-            mat = two_qubit_matrix(ins.kind, ins.angle)
-            ev.amps = _apply_2q(ev.amps, mat, ins.qubits[0], ins.qubits[1], n)
-        elif ins.kind == "measure":
-            q = ins.qubits[0]
-            if last[q] == i:
-                # Terminal measurement: read the bit at finalization instead
-                # of branching, so whole-register readout stays linear.
-                if ins.clbit is not None:
-                    ev.read_clbits.append((q, ins.clbit))
-                if ins.sign:
-                    ev.sign_mask |= 1 << q
-                continue
-            _split(ev, q, sign=ins.sign, clbit=ins.clbit)
-        elif ins.kind == "reset":
-            _split(ev, ins.qubits[0], reset=True)
-        else:  # pragma: no cover
-            raise SimulationError(f"cannot simulate kind {ins.kind!r}")
-
-    if not records:
-        ev.read_clbits.extend((q, q) for q in range(n))
-    return ev
-
-
-def _outcomes(ev: _Evolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keys, signs and probabilities of every (branch, basis state) pair with
-    nonzero probability, branch by branch in branch order."""
-    probs = np.abs(ev.amps) ** 2
-    row, idx = np.nonzero(probs > _PRUNE_NORM_SQ)
-    keys = ev.recorded[row]
-    for q, c in ev.read_clbits:
-        keys |= ((idx >> q) & 1) << c
-    signs = ev.signs[row]
-    flips = np.bitwise_count(idx & ev.sign_mask) & 1
-    return keys, np.where(flips == 1, -signs, signs), probs[row, idx]
+    if shots is not None and shots < 1:
+        raise SimulationError("shots must be >= 1")
+    read_map = {ins.qubits[0]: ins.clbit for ins in c.instructions
+                if ins.kind == "measure" and ins.clbit is not None}
+    num_bits = c.num_clbits if read_map else n
+    out: list = []
+    first = peak = 0
+    while first < count:
+        # Instance and key share one int64 below.
+        size = min(count - first, 1 << max(0, 62 - num_bits),
+                   max(1, BATCH_AMPLITUDES // (peak << n)) if peak else 1)
+        ev = _evolve(c, np.arange(first, first + size))
+        peak = max(peak, ev.peak)
+        if not read_map:
+            ev.reads[:] = (1 << n) - 1
+        inst, keys, signs, probs = _outcomes(
+            ev, read_map or {q: q for q in range(n)})
+        if shots is not None:
+            parts = np.split(probs, np.searchsorted(inst, np.arange(1, size)))
+            probs = np.concatenate([
+                np.random.default_rng(seeds[first + i]).multinomial(
+                    shots, p / p.sum()) for i, p in enumerate(parts)])
+        # bincount adds in input order, as a running sum per key would.
+        pairs, index = np.unique((inst << num_bits) | keys, return_inverse=True)
+        sums = np.bincount(index, weights=signs * probs)
+        hits = np.bincount(index, weights=probs)
+        keep = np.abs(sums) >= _OUTPUT_EPS if shots is None else hits > 0
+        pairs, sums, hits = pairs[keep], sums[keep], hits[keep]
+        keys = pairs & ((1 << num_bits) - 1)
+        edges = np.searchsorted(pairs >> num_bits, np.arange(size + 1)).tolist()
+        for a, b in zip(edges, edges[1:]):
+            out.append(
+                SignedDistribution.from_arrays(keys[a:b], sums[a:b], num_bits)
+                if shots is None else
+                ShotCounts(keys[a:b], hits[a:b].astype(np.int64),
+                           sums[a:b].astype(np.int64), shots, num_bits))
+        first += size
+    return out
 
 
 def run_exact(c: Circuit) -> SignedDistribution:
@@ -302,33 +432,14 @@ def run_exact(c: Circuit) -> SignedDistribution:
     keyed over the classical register, or over all qubits when the circuit
     has no measurement instructions.
     """
-    ev = _evolve(c)
-    keys, signs, probs = _outcomes(ev)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    # bincount adds in input order, as a running sum per key would.
-    sums = np.bincount(inverse, weights=signs * probs)
-    keep = np.abs(sums) >= _OUTPUT_EPS
-    return SignedDistribution.from_arrays(uniq[keep], sums[keep], ev.num_bits)
+    return run_batch(c)[0]
 
 
 def run_sampled(c: Circuit, shots: int, seed: int) -> ShotCounts:
-    """Seeded, reproducible sampling of a circuit.
-
-    Shots are drawn from the exact joint distribution over measurement
-    branches and final outcomes, which reproduces per-shot collapse
-    statistics exactly.
-    """
-    if shots < 1:
-        raise SimulationError("shots must be >= 1")
-    ev = _evolve(c)
-    keys, signs, probs = _outcomes(ev)
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs / probs.sum())
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inverse, weights=drawn).astype(np.int64)
-    signed = np.bincount(inverse, weights=signs * drawn).astype(np.int64)
-    hit = counts > 0
-    return ShotCounts(uniq[hit], counts[hit], signed[hit], shots, ev.num_bits)
+    """Seeded, reproducible sampling of a circuit: shots are drawn from the
+    exact joint distribution over measurement branches and final outcomes,
+    which reproduces per-shot collapse statistics exactly."""
+    return run_batch(c, 1, shots, [seed])[0]
 
 
 # ---------------------------------------------------------------------------

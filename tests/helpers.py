@@ -373,3 +373,136 @@ def reference_peephole(pc: ParamCircuit) -> ParamCircuit:
                if isinstance(el, Placeholder)]
     return ParamCircuit(pc.num_qubits, els, vectors, pc.clbit_map,
                         pc.qubit_map, pc.fragment_index, pc.name)
+
+
+# ---------------------------------------------------------------------------
+# per-instance reference execution
+
+def _tensordot_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+    t = amps.reshape([-1] + [2] * n)
+    t = np.tensordot(mat, t, axes=([1], [n - q]))
+    return np.moveaxis(t, 0, n - q).reshape(amps.shape)
+
+
+def _tensordot_2q(amps: np.ndarray, mat4: np.ndarray, qa: int, qb: int,
+                  n: int) -> np.ndarray:
+    t = amps.reshape([-1] + [2] * n)
+    m = mat4.reshape(2, 2, 2, 2)  # (b_out, a_out, b_in, a_in)
+    t = np.tensordot(m, t, axes=([2, 3], [n - qb, n - qa]))
+    return np.moveaxis(t, [0, 1], [n - qb, n - qa]).reshape(amps.shape)
+
+
+def _reference_outcomes(c: Circuit):
+    """One circuit's branches as rows of one amplitude array. A measurement
+    whose qubit has no later operation in this circuit is read at the end;
+    any other measurement or reset replaces every row by its outcome-0 row
+    and then its outcome-1 row, dropping rows of squared norm below 1e-30.
+    Returns keys, signs and probabilities of every (row, basis state) pair
+    in row order, and the key width."""
+    from gatevm.sim import gate_matrix, two_qubit_matrix
+
+    c.validate()
+    n = c.num_qubits
+    records = any(i.kind == "measure" and i.clbit is not None
+                  for i in c.instructions)
+    last: dict[int, int] = {}
+    for i, ins in enumerate(c.instructions):
+        if ins.kind != "barrier":
+            for q in ins.qubits:
+                last[q] = i
+    amps = np.zeros((1, 1 << n), dtype=complex)
+    amps[0, 0] = 1.0
+    signs = np.ones(1, dtype=np.int64)
+    recorded = np.zeros(1, dtype=np.int64)
+    read: list[tuple[int, int]] = []
+    sign_mask = 0
+    for i, ins in enumerate(c.instructions):
+        if ins.kind == "barrier":
+            continue
+        if ins.kind in GATES_2Q:
+            amps = _tensordot_2q(amps, two_qubit_matrix(ins.kind, ins.angle),
+                                 *ins.qubits, n)
+            continue
+        if ins.kind not in ("measure", "reset"):
+            amps = _tensordot_1q(amps, gate_matrix(ins.kind, ins.angle),
+                                 ins.qubits[0], n)
+            continue
+        q = ins.qubits[0]
+        if ins.kind == "measure" and last[q] == i:
+            if ins.clbit is not None:
+                read.append((q, ins.clbit))
+            if ins.sign:
+                sign_mask |= 1 << q
+            continue
+        rows, size = amps.shape
+        halves = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
+        norms = (np.abs(halves) ** 2).sum(axis=(1, 3))
+        parent, outcome = np.nonzero(norms >= 1e-30)
+        split = np.zeros((len(parent),) + halves.shape[1:], dtype=complex)
+        target = np.zeros_like(outcome) if ins.kind == "reset" else outcome
+        split[np.arange(len(parent)), :, target, :] = halves[parent, :, outcome, :]
+        amps = split.reshape(len(parent), size)
+        signs = signs[parent]
+        recorded = recorded[parent]
+        if ins.kind == "measure":
+            if ins.sign:
+                signs = np.where(outcome == 1, -signs, signs)
+            if ins.clbit is not None:
+                recorded = recorded | (outcome << ins.clbit)
+    if not records:
+        read = [(q, q) for q in range(n)]
+    probs = np.abs(amps) ** 2
+    row, idx = np.nonzero(probs > 1e-30)
+    keys = recorded[row]
+    for q, cb in read:
+        keys |= ((idx >> q) & 1) << cb
+    flips = np.array([bin(int(x)).count("1") & 1 for x in idx & sign_mask],
+                     dtype=np.int64)
+    signs = np.where(flips == 1, -signs[row], signs[row])
+    return keys, signs, probs[row, idx], c.num_clbits if records else n
+
+
+def reference_run(c: Circuit, shots: int | None = None, seed: int = 0):
+    """Signed distribution of one circuit, exact (``shots`` None) or from
+    seeded shots drawn over its (branch, basis state) pairs in row order."""
+    from gatevm.sim import SignedDistribution
+
+    keys, signs, probs, num_bits = _reference_outcomes(c)
+    if shots is None:
+        weights = signs * probs
+    else:
+        drawn = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+        weights = signs * drawn
+    out: dict[int, float] = {}
+    for key, w in zip(keys.tolist(), weights.tolist()):
+        out[key] = out.get(key, 0.0) + w
+    if shots is None:
+        return SignedDistribution(
+            {k: v for k, v in out.items() if abs(v) >= 1e-14}, num_bits)
+    return SignedDistribution(
+        {k: v / shots for k, v in out.items() if v != 0}, num_bits)
+
+
+def reference_execute(program, mode: str = "exact", shots: int = 20000,
+                      seed: int = 0) -> list[list]:
+    """Per fragment, the distribution of every instance in enumeration order
+    (last gate fastest), each instance built as its own circuit and run
+    alone; sampled mode seeds instance i of fragment f from
+    SeedSequence((seed, f, i))."""
+    import itertools
+
+    out = []
+    for pc in program.fragments:
+        gate_ids = pc.touching_gates(program.gate_order)
+        dists = []
+        for i, digits in enumerate(itertools.product(range(6),
+                                                     repeat=len(gate_ids))):
+            circuit = pc.instantiate(dict(zip(gate_ids, digits)))
+            if mode == "exact":
+                dists.append(reference_run(circuit))
+            else:
+                ss = np.random.SeedSequence((seed, pc.fragment_index, i))
+                dists.append(reference_run(circuit, shots,
+                                           int(ss.generate_state(1)[0])))
+        out.append(dists)
+    return out

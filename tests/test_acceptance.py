@@ -37,7 +37,7 @@ from gatevm.runtime import (
     FragmentResultEntry,
     FragmentResults,
     GlobalCoefficients,
-    _metric_proxy,
+    metric_proxy,
     execute,
     global_coefficients,
     instantiate,
@@ -310,7 +310,7 @@ def test_criterion_08_directional_compilation_benefit():
                 prog = generate(run_pipeline(from_circuit(circ), cfg))
                 frag_depths, frag_cnots, frag_esps = [], [], []
                 for pc in prog.fragments:
-                    physical = map_and_route(_metric_proxy(pc), qpu, seed=0)
+                    physical = map_and_route(metric_proxy(pc), qpu, seed=0)
                     frag_depths.append(depth(physical.circuit))
                     frag_cnots.append(cnot_count(physical.circuit))
                     frag_esps.append(esp(physical, qpu))
@@ -382,7 +382,7 @@ def test_criterion_10_scheduler_formula():
                 max_queue = max(q.queue_length for q in qpus)
                 scores = {}
                 for q in fits:
-                    success = esp(map_and_route(_metric_proxy(pc), q,
+                    success = esp(map_and_route(metric_proxy(pc), q,
                                                 seed=trial), q)
                     wait = q.queue_length / max_queue if max_queue else 0.0
                     scores[q.name] = alpha * (1 - wait) + beta * success

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gatevm import runtime, sim
 from gatevm.circuit import Circuit, instr
 from gatevm.codegen import Placeholder, generate
+from gatevm.passes import PassConfig, WidthUnreachableError, run_pipeline
 from gatevm.qpu import QpuModel, QpuError, fleet_from_json, fleet_to_json, line_qpu
 from gatevm.runtime import (
     MAX_KNIT_ENTRIES,
@@ -27,7 +29,7 @@ from gatevm.sim import SignedDistribution, linf_distance, run_exact
 from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
-from helpers import random_circuit, reference_knit
+from helpers import random_circuit, reference_execute, reference_knit
 
 
 def compiled(circuit, vgate_ids):
@@ -201,8 +203,8 @@ def test_schedule_matches_independent_argmax():
             max_queue = max(q.queue_length for q in qpus)
             scores = {}
             for q in fits:
-                from gatevm.runtime import _metric_proxy
-                success = esp(map_and_route(_metric_proxy(pc), q, seed), q)
+                from gatevm.runtime import metric_proxy
+                success = esp(map_and_route(metric_proxy(pc), q, seed), q)
                 wait = q.queue_length / max_queue if max_queue else 0.0
                 scores[q.name] = alpha * (1 - wait) + beta * success
             best = max(fits, key=lambda q: (scores[q.name], ))
@@ -256,6 +258,137 @@ def test_execute_worker_count_does_not_change_results():
     for ea, eb in zip(a.entries, b.entries):
         for da, db in zip(ea.distributions, eb.distributions):
             assert da.entries == pytest.approx(db.entries, abs=1e-15)
+
+
+def assert_execute_matches_reference(prog, mode, shots=400, seed=3):
+    got = execute(prog, mode=mode, shots=shots, seed=seed)
+    expected = reference_execute(prog, mode, shots, seed)
+    assert [len(e.distributions) for e in got.entries] == \
+        [len(dists) for dists in expected]
+    for entry, dists in zip(got.entries, expected):
+        for a, b in zip(entry.distributions, dists):
+            assert a.num_bits == b.num_bits
+            assert set(a.entries) == set(b.entries)
+            if mode == "exact":
+                assert max((abs(a[k] - v) for k, v in b.entries.items()),
+                           default=0.0) <= 1e-12
+            else:
+                assert a.entries == b.entries
+
+
+def random_reuse_program(rng):
+    """A random circuit measuring a random subset of its qubits, through the
+    heuristic cut, dependency-reduction and qubit-reuse passes; None when
+    the width is out of reach."""
+    n = rng.randint(4, 7)
+    c = random_circuit(rng, n, rng.randint(n, 2 * n), two_qubit_prob=0.6)
+    measured = rng.sample(range(n), rng.randint(1, n))
+    c.num_clbits = len(measured)
+    for clbit, q in enumerate(measured):
+        c.add("measure", q, clbit=clbit)
+    cfg = PassConfig(max_fragment_size=rng.randint(2, n - 1),
+                     budget=rng.randint(0, 2), seed=rng.randrange(100))
+    try:
+        return generate(run_pipeline(from_circuit(c), cfg))
+    except WidthUnreachableError:
+        return None
+
+
+def test_execute_matches_per_instance_reference_on_random_cut_programs():
+    rng = random.Random(4)
+    programs = []
+    while len(programs) < 60:
+        prog = random_reuse_program(rng)
+        if prog is not None:
+            programs.append(prog)
+    elements = [el for prog in programs for pc in prog.fragments
+                for el in pc.elements]
+    internal = sum(len(pc.placeholders) - len(pc.touching_gates(prog.gate_order))
+                   for prog in programs for pc in prog.fragments)
+    unmeasured = sum(pc.num_qubits - len(pc.clbit_map)
+                     for prog in programs for pc in prog.fragments)
+    assert sum(getattr(el, "kind", None) == "reset" for el in elements) >= 10
+    assert internal >= 10 and unmeasured >= 10
+    for prog in programs:
+        for mode in ("exact", "sampled"):
+            assert_execute_matches_reference(prog, mode)
+
+
+def sign_then_identity_program():
+    """Wire 2 is unmeasured and controls two virtual CX gates, so its
+    fragment (wires 2, 3) holds two placeholders in a row on it. Where the
+    first action ends in a sign measurement and the second is the identity,
+    that measurement is the wire's last operation; where the second action
+    is a gate or a measurement, it is not."""
+    c = Circuit(4, num_clbits=3)
+    c.instructions = [
+        instr("ry", 2, angle=1.1), instr("ry", 3, angle=0.5), instr("cx", 2, 3),
+        instr("ry", 0, angle=0.7), instr("ry", 1, angle=0.4),
+        instr("cx", 2, 0), instr("cx", 2, 1),
+        instr("measure", 0, clbit=0), instr("measure", 1, clbit=1),
+        instr("measure", 3, clbit=2)]
+    vc = from_circuit(c)
+    for g in vc.real_gates():
+        if g.qubits in ((2, 0), (2, 1)):
+            virt_gate(vc, g.id)
+    return generate(vc)
+
+
+def test_sign_measure_is_terminal_only_where_an_identity_follows():
+    prog = sign_then_identity_program()
+    pc = prog.fragments[2]
+    gates = pc.touching_gates(prog.gate_order)
+    assert pc.qubit_map == [2, 3] and len(gates) == 2
+
+    def last_on_wire_2(digits):
+        body = pc.instantiate(dict(zip(gates, digits))).instructions
+        return [ins for ins in body if 0 in ins.qubits][-1]
+
+    assert last_on_wire_2((2, 4)).kind == "measure"      # identity follows
+    assert last_on_wire_2((2, 0)).kind == "rz"           # a gate follows
+    for mode in ("exact", "sampled"):
+        for seed in (0, 1, 2):
+            assert_execute_matches_reference(prog, mode, shots=1000, seed=seed)
+
+
+def test_sampled_execute_pinned():
+    # Signed counts of the wire-(2, 3) fragment, one dict per instance, at
+    # seed 11 with 1000 shots, as the per-instance engine produced them.
+    expected = [
+        {0: 685, 1: 315}, {0: 734, 1: 266}, {0: 674, 1: -210},
+        {0: 657, 1: -201}, {0: 672, 1: 328}, {0: 705, 1: 295},
+        {0: 681, 1: 319}, {0: 701, 1: 299}, {0: 669, 1: -229},
+        {0: 675, 1: -183}, {0: 699, 1: 301}, {0: 706, 1: 294},
+        {0: 657, 1: -203}, {0: 656, 1: -216}, {0: 707, 1: 293},
+        {0: 689, 1: 311}, {0: 696, 1: -198}, {0: 668, 1: -210},
+        {0: 661, 1: -229}, {0: 668, 1: -212}, {0: 709, 1: 291},
+        {0: 679, 1: 321}, {0: 695, 1: -209}, {0: 672, 1: -230},
+        {0: 723, 1: 277}, {0: 700, 1: 300}, {0: 664, 1: -226},
+        {0: 653, 1: -221}, {0: 707, 1: 293}, {0: 701, 1: 299},
+        {0: 702, 1: 298}, {0: 719, 1: 281}, {0: 678, 1: -178},
+        {0: 698, 1: -180}, {0: 726, 1: 274}, {0: 679, 1: 321}]
+    results = execute(sign_then_identity_program(), mode="sampled",
+                      shots=1000, seed=11)
+    got = results.entries[2].distributions
+    assert [d.entries for d in got] == [
+        {k: v / 1000 for k, v in counts.items()} for counts in expected]
+
+
+def test_batch_size_does_not_change_results(monkeypatch):
+    prog = sign_then_identity_program()
+    runs = []
+    for amplitudes in (1, 1 << 6, 1 << 20):
+        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", amplitudes)
+        runs.append([[d.entries for d in e.distributions]
+                     for mode in ("exact", "sampled")
+                     for e in execute(prog, mode=mode, shots=500,
+                                      seed=5).entries])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_simulator_entry_points_stay_bound_in_runtime():
+    assert runtime.run_exact is sim.run_exact
+    assert runtime.run_sampled is sim.run_sampled
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@ import math
 import pickle
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gatevm import sim
 from gatevm.circuit import Circuit, instr
 from gatevm.decomp import decomposition_for
 from gatevm.sim import (
+    BranchOverflowError,
     SignedDistribution,
     SimulationError,
     l1_distance,
@@ -254,3 +257,26 @@ def test_sampled_output_pinned_across_branch_order():
     assert got.signed_sum == {
         0: -259, 3: -16, 4: 681, 7: 3, 9: -81, 10: -61, 13: 29, 14: 149,
         16: -40, 19: -80, 20: 172, 23: 36, 25: -20, 26: -225, 29: 7, 30: 749}
+
+
+def test_branch_overflow_refused_before_allocation(monkeypatch):
+    # Ten qubits in uniform superposition, six of them measured mid-circuit:
+    # every measurement doubles the branches, up to 64 rows of 1024
+    # amplitudes. With the limit lowered to 32 rows' worth, the sixth
+    # measurement is refused before its 1 MiB array exists; the 512 KiB
+    # state and the split's norms are all that is held then. (At the default
+    # limit of 2^26 amplitudes, no state under 1 MB reaches the guard: one
+    # split at most doubles the rows.)
+    c = Circuit(10, [instr("h", q) for q in range(10)]
+                + [instr("measure", q, clbit=q) for q in range(6)]
+                + [instr("x", q) for q in range(6)], num_clbits=6)
+    assert len(run_exact(c).entries) == 1 << 6
+    monkeypatch.setattr(sim, "MAX_BRANCH_AMPLITUDES", 32 << 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BranchOverflowError):
+            run_exact(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
