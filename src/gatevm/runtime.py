@@ -6,8 +6,9 @@ estimated success probability. Execution runs all instances of a fragment
 as one batched statevector evolution. The knitter reconstructs the original
 circuit's quasi-distribution by summing, over all 6^k global instances,
 the coefficient-weighted Kronecker product of per-fragment result tables
-into one accumulator; the global coefficient vector is split into
-contiguous ranges across a process pool.
+into one accumulator, many instances per array operation where the key
+unions are small; the global coefficient vector is split into contiguous
+ranges across a process pool.
 """
 from __future__ import annotations
 
@@ -27,9 +28,14 @@ from .sim import SignedDistribution, Slot, run_batch, run_exact, run_sampled
 from .transpiler import esp, map_and_route
 
 MAX_FRAGMENT_INSTANCES = 10_000_000
-# Knit accumulator entries (product of the fragments' key-union sizes); a
-# worker holds the accumulator and a buffer of this size, 32 MiB each.
+# Knit accumulator entries Pi (product of the fragments' key-union sizes). A
+# worker holds the accumulator and a chunk's last product (32 MiB each at the
+# limit), smaller row and prefix buffers, and a Pi-entry sum if Pi <= 2^15.
 MAX_KNIT_ENTRIES = 1 << 22
+# A knit chunk spans max(1, KNIT_CHUNK_ENTRIES // Pi) global instances.
+KNIT_CHUNK_ENTRIES = 1 << 16
+# Global instances whose table rows are found together, in whole chunks.
+KNIT_BLOCK = 1 << 12
 _KNIT_OUTPUT_EPS = 1e-12
 
 
@@ -257,29 +263,45 @@ def _fragment_tables(results: FragmentResults):
         # Unrecorded fragment bits marginalize away: scattered keys that
         # collide within one instance are added.
         values = np.concatenate([d.values for d in entry.distributions])
+        # bincount returns int64 when given no entries; the knit needs floats.
         table = np.bincount(row * union.size + column, weights=values,
-                            minlength=rows * union.size)
+                            minlength=rows * union.size).astype(np.float64, copy=False)
         tables.append((strides, union, table.reshape(rows, union.size)))
     return tables
 
 
 def _knit_range(args):
     start, end, coeff, tables = args
-    shape = [union.size for _, union, _ in tables]
-    acc = np.zeros(shape)
-    # One buffer per Kronecker step, so no instance allocates an array.
-    steps = [np.empty(shape[:j + 1]) for j in range(len(shape))]
-    for i in range(start, end):
-        c_i = coeff[i]
-        if c_i == 0.0:
-            continue
-        term = c_i
-        for (strides, _, table), out in zip(tables, steps):
-            li = 0
-            for gs, ls in strides:
-                li += ((i // gs) % 6) * ls
-            term = np.multiply.outer(term, table[li], out=out)
-        acc += term
+    widths = [union.size for _, union, _ in tables]
+    size = math.prod(widths)
+    chunk = max(1, min(KNIT_CHUNK_ENTRIES // max(size, 1), end - start))
+    block = chunk * max(1, KNIT_BLOCK // chunk)
+    acc = np.zeros((1, size))
+    total = np.empty((1, size)) if chunk > 1 else None
+    # Per fragment, allocated once with a leading chunk axis: its table rows,
+    # the coefficient-weighted row-wise Kronecker product through it (its own
+    # axis outside the earlier ones, so numpy's innermost loop is the long
+    # one), and that product as the next step's left operand.
+    steps, prefix = [], 1
+    for width in widths:
+        row, prod = np.empty((chunk, width)), np.empty((chunk, width, prefix))
+        prefix *= width
+        steps.append((row, row[:, :, None], prod, prod.reshape(chunk, 1, prefix)))
+    for first in range(start, end, block):
+        # Global instances with a nonzero coefficient, padded to whole chunks
+        # by instance 0 with weight 0, which adds exact zeros.
+        live = first + np.flatnonzero(coeff[first:min(first + block, end)])
+        pad = -live.size % chunk
+        weights, live = np.pad(coeff[live], (0, pad)), np.pad(live, (0, pad))
+        local = [sum((live // gs % 6 * ls for gs, ls in strides),
+                     np.zeros_like(live)).reshape(-1, chunk)
+                 for strides, _, _ in tables]
+        for term, *lis in zip(weights.reshape(-1, chunk, 1, 1), *local):
+            for (row, rhs, prod, nxt), li, (_, _, table) in zip(steps, lis, tables):
+                table.take(li, axis=0, out=row)
+                np.multiply(term, rhs, out=prod)
+                term = nxt
+            acc += term[0] if chunk == 1 else np.add.reduce(term, axis=0, out=total)
     return acc
 
 
@@ -291,7 +313,9 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
     decomposed into base-6 digits in gate order (last gate fastest), each
     fragment reads the digits of the gates touching it, and fragment
     bitstrings are scattered back to original output-bit positions. One
-    accumulator spans the product of the fragments' key unions. The
+    accumulator spans the product Pi of the fragments' key-union sizes; each
+    chunk of max(1, KNIT_CHUNK_ENTRIES // Pi) instances with a nonzero
+    coefficient adds the sum of its row-wise Kronecker products to it. The
     coefficient vector is split into ``workers`` contiguous ranges whose
     accumulators are added.
     """
@@ -322,10 +346,11 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
             parts = pool.map(_knit_range, ranges)
 
     values = sum(parts).ravel()
-    # Fragments own disjoint output bits, so the OR-products are unique.
+    # Fragments own disjoint output bits, so the OR-products are unique; the
+    # first fragment varies fastest, as in the accumulator.
     keys = np.zeros(1, dtype=np.int64)
     for _, union, _ in tables:
-        keys = (keys[:, None] | union[None, :]).ravel()
+        keys = (union[:, None] | keys[None, :]).ravel()
     keep = np.abs(values) >= _KNIT_OUTPUT_EPS
     return SignedDistribution.from_arrays(keys[keep], values[keep], results.num_clbits)
 

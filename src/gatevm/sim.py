@@ -88,11 +88,16 @@ class SignedDistribution:
 
     def clipped_probabilities(self) -> dict[int, float]:
         """Clip negative quasi-probability mass to 0 and renormalize."""
-        clipped = {k: v for k, v in self.entries.items() if v > 0.0}
-        norm = sum(clipped.values())
-        if norm <= 0.0:
-            raise SimulationError("distribution has no positive mass")
-        return {k: v / norm for k, v in clipped.items()}
+        return clip_and_renormalize(self.entries)
+
+
+def clip_and_renormalize(entries: dict[int, float], error=SimulationError):
+    """Clip negative mass to 0 and renormalize; raise ``error`` if none is left."""
+    clipped = {k: v for k, v in entries.items() if v > 0.0}
+    norm = sum(clipped.values())
+    if norm <= 0.0:
+        raise error("distribution has no positive mass")
+    return {k: v / norm for k, v in clipped.items()}
 
 
 @dataclass

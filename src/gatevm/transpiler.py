@@ -14,6 +14,7 @@ import networkx as nx
 
 from .circuit import Circuit, GATES_2Q, Instruction, instr
 from .qpu import QpuModel
+from .sim import clip_and_renormalize
 
 
 class TranspileError(ValueError):
@@ -183,11 +184,7 @@ def hellinger_fidelity(p, q, clip: bool = True) -> float:
     for d in (p, q):
         entries = _as_prob_dict(d)
         if clip:
-            pos = {k: v for k, v in entries.items() if v > 0.0}
-            norm = sum(pos.values())
-            if norm <= 0.0:
-                raise TranspileError("distribution has no positive mass")
-            dists.append({k: v / norm for k, v in pos.items()})
+            dists.append(clip_and_renormalize(entries, TranspileError))
         else:
             if any(v < 0.0 for v in entries.values()):
                 raise TranspileError("negative probability with clipping disabled")

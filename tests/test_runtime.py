@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -517,6 +518,11 @@ def test_knit_matches_reference_with_empty_instance_distribution():
     entry = next(e for e in results.entries if len(e.distributions) > 1)
     entry.distributions[1] = SignedDistribution({}, entry.distributions[1].num_bits)
     assert_knit_matches_reference(results, global_coefficients(prog))
+    # Every instance empty: an empty key union and an empty output.
+    entry.distributions[:] = [SignedDistribution({}, d.num_bits)
+                              for d in entry.distributions]
+    assert_knit_matches_reference(results, global_coefficients(prog))
+    assert knit(results, global_coefficients(prog)).entries == {}
 
 
 def test_knit_ghz24_in_six_qubit_fragments():
@@ -535,6 +541,118 @@ def test_knit_ghz24_in_six_qubit_fragments():
     assert got[0] == pytest.approx(0.5, abs=1e-12)
     assert got[(1 << 24) - 1] == pytest.approx(0.5, abs=1e-12)
     assert_knit_matches_reference(results, coeffs)
+
+
+def ghz_chain_program(n):
+    """GHZ-n with every cx leaving an odd qubit virtual: n/2 fragments of two
+    qubits and k = n/2 - 1 virtual gates."""
+    ghz = Circuit(n, [instr("h", 0)] + [instr("cx", q, q + 1) for q in range(n - 1)])
+    vc = from_circuit(ghz)
+    for g in vc.real_gates():
+        if g.qubits[0] % 2 == 1:
+            virt_gate(vc, g.id)
+    return generate(vc)
+
+
+def union_sizes(results):
+    return [union.size for _, union, _ in runtime._fragment_tables(results)]
+
+
+def test_knit_matches_reference_on_many_small_fragments():
+    # Pi = 2^6 gives 1 024-instance chunks: 7 776 global instances end in a
+    # part chunk in every worker's range.
+    prog = ghz_chain_program(12)
+    assert [pc.num_qubits for pc in prog.fragments] == [2] * 6
+    assert prog.num_virtual_gates == 5
+    for mode in ("exact", "sampled"):
+        results = execute(prog, mode=mode, shots=400, seed=2)
+        assert all(size <= 4 for size in union_sizes(results))
+        assert_knit_matches_reference(results, global_coefficients(prog))
+
+
+def knit_cases():
+    rng = random.Random(44)
+    progs = [random_cut_program(rng) for _ in range(4)] + [ghz_chain_program(10)]
+    return [(execute(prog, mode=mode, shots=300, seed=1), global_coefficients(prog))
+            for prog in progs for mode in ("exact", "sampled")]
+
+
+def assert_same_knit(a, b):
+    assert set(a.entries) == set(b.entries)
+    assert linf_distance(a, b) <= 1e-12
+
+
+def test_knit_chunk_length_does_not_change_results(monkeypatch):
+    cases = knit_cases()
+    base = [knit(results, coeffs) for results, coeffs in cases]
+    for entries in (1, 1 << 22):
+        monkeypatch.setattr(runtime, "KNIT_CHUNK_ENTRIES", entries)
+        for (results, coeffs), expected in zip(cases, base):
+            assert_same_knit(knit(results, coeffs), expected)
+
+
+def test_knit_worker_invariance_across_chunk_boundaries(monkeypatch):
+    # 6^4 = 1 296 global instances at Pi = 2^5; chunks of 7 instances in
+    # blocks of 4 095, or of 5 in blocks of 60, divide neither 6^4 nor the
+    # ranges of 2 or 3 workers.
+    prog = ghz_chain_program(10)
+    results = execute(prog, mode="sampled", shots=300, seed=4)
+    coeffs = global_coefficients(prog)
+    size = math.prod(union_sizes(results))
+    assert size == 1 << 5
+    base = knit(results, coeffs)
+    for chunk, block in ((7, runtime.KNIT_BLOCK), (5, 64)):
+        monkeypatch.setattr(runtime, "KNIT_CHUNK_ENTRIES", chunk * size)
+        monkeypatch.setattr(runtime, "KNIT_BLOCK", block)
+        for workers in (1, 2, 3):
+            assert_same_knit(knit(results, coeffs, workers=workers), base)
+
+
+def dense_synthetic_results(gate_split, support_bits, seed):
+    """Criterion 07-style workload: each fragment owns consecutive gates and
+    ``support_bits`` output bits, and every instance weights all
+    2^support_bits keys, so Pi = 2^(support_bits * fragments)."""
+    rng = np.random.default_rng(seed)
+    width = 1 << support_bits
+    entries, first = [], 0
+    for j, kj in enumerate(gate_split):
+        dists = [SignedDistribution.from_arrays(
+            np.arange(width), rng.normal(size=width), support_bits)
+            for _ in range(6 ** kj)]
+        entries.append(FragmentResultEntry(
+            j, list(range(first, first + kj)),
+            list(range(j * support_bits, (j + 1) * support_bits)), dists))
+        first += kj
+    order = list(range(first))
+    return (FragmentResults(entries, order, support_bits * len(gate_split)),
+            GlobalCoefficients(rng.normal(size=6 ** first), order))
+
+
+def traced_knit_peak(results, coeffs):
+    tracemalloc.start()
+    try:
+        knit(results, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_knit_memory_is_a_few_accumulators():
+    # Pi = 2^16, one instance per chunk: the worker's accumulator and product
+    # buffer, then the output's keys and values.
+    results, coeffs = dense_synthetic_results((2, 2), 8, seed=3)
+    size = 1 << 16
+    assert math.prod(union_sizes(results)) == size
+    assert traced_knit_peak(results, coeffs) < 8 * (8 * size)
+
+
+def test_knit_builds_no_array_over_global_instances():
+    # 6^8 global instances at Pi = 4: one 6^8-long index or coefficient array
+    # would take 13 MiB.
+    results, coeffs = dense_synthetic_results((4, 4), 1, seed=8)
+    assert math.prod(union_sizes(results)) == 4
+    assert traced_knit_peak(results, coeffs) < 8 * 6 ** 8 // 2
 
 
 def test_knit_refuses_oversized_accumulator():

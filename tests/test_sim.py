@@ -206,6 +206,11 @@ def test_clipped_probabilities():
     assert clipped == pytest.approx({0: 0.5, 2: 0.5})
 
 
+def test_clipped_probabilities_refuses_no_positive_mass():
+    with pytest.raises(SimulationError, match="no positive mass"):
+        SignedDistribution({0: -0.5, 1: 0.0, 3: -0.5}, 2).clipped_probabilities()
+
+
 @pytest.mark.parametrize("entries", [{}, {5: 0.625, 0: -0.125, 2: 0.5}])
 def test_signed_distribution_from_dict_and_from_arrays_agree(entries):
     # Keys deliberately out of order: the array form keeps them unsorted.

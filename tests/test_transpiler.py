@@ -5,7 +5,7 @@ import pytest
 
 from gatevm.circuit import Circuit, GATES_2Q, instr
 from gatevm.qpu import heavy_hex_qpu, line_qpu, preset_qpu
-from gatevm.sim import linf_distance, run_exact
+from gatevm.sim import SignedDistribution, linf_distance, run_exact
 from gatevm.transpiler import (
     TranspileError,
     cnot_count,
@@ -166,6 +166,14 @@ def test_hellinger_clips_quasi_distributions():
         hellinger_fidelity(quasi, ref, clip=False)
     with pytest.raises(TranspileError):
         hellinger_fidelity({0: 0.7}, ref, clip=False)
+
+
+def test_hellinger_clip_refuses_no_positive_mass():
+    ref = {0: 0.5, 2: 0.5}
+    with pytest.raises(TranspileError, match="no positive mass"):
+        hellinger_fidelity({0: -0.25, 1: 0.0}, ref, clip=True)
+    with pytest.raises(TranspileError, match="no positive mass"):
+        hellinger_fidelity(ref, SignedDistribution({3: -1.0}, 2), clip=True)
 
 
 def test_preset_qpus():
