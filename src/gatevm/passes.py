@@ -2,7 +2,7 @@
 
 Each structural pass exists in an exact variant (exhaustive search with a
 hard instance-size bound, used as ground truth) and a heuristic variant.
-Passes are pure with respect to their input: they deep-copy the IR and
+Passes are pure with respect to their input: they copy the IR and
 return the optimized copy. A shared virtualization budget limits the total
 number of gates virtualized across the pipeline.
 """
@@ -171,7 +171,12 @@ def _kl_cut_plan(graph: nx.Graph, s: int,
         if not comps or len(comps[0]) <= s:
             break
         target = comps[0]
-        sub = work.subgraph(target)
+        # A plain graph spares Kernighan-Lin a view's node filter. The view's
+        # node order and work's edge order keep each neighbour order, and so
+        # a seed's bisection; view.copy() reorders neighbours.
+        sub = nx.Graph()
+        sub.add_nodes_from(work.subgraph(target))
+        sub.add_edges_from(e for e in work.edges(data=True) if e[0] in target)
         best = None
         for _ in range(KL_RESTARTS):
             part = kernighan_lin_bisection(

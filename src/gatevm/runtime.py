@@ -136,8 +136,9 @@ def schedule(program: CompiledProgram, qpus: list[QpuModel], alpha: float,
              beta: float, seed: int = 0) -> dict[int, str]:
     """Assign each fragment to the QPU with the highest score.
 
-    A candidate must have enough qubits; it is transpiled once per
-    (fragment, candidate) pair to estimate its success probability. The
+    A candidate must have enough qubits. Each fragment is routed once per
+    distinct coupling map (routing reads nothing else of a QPU), and each
+    candidate's success probability uses its own error rates. The
     score is ``alpha * (1 - w) + beta * esp`` with ``w`` the queue length
     normalized by the fleet-wide maximum (0 when every queue is empty).
     Ties go to the lexicographically first QPU name. The chosen QPU's queue
@@ -158,9 +159,12 @@ def schedule(program: CompiledProgram, qpus: list[QpuModel], alpha: float,
         max_queue = max(q.queue_length for q in qpus)
         best = None
         best_score = None
+        routed = {}
         for qpu in candidates:
-            physical = map_and_route(proxy, qpu, seed)
-            success = esp(physical, qpu)
+            coupling = (qpu.num_qubits, frozenset(qpu.graph().edges))
+            if coupling not in routed:
+                routed[coupling] = map_and_route(proxy, qpu, seed)
+            success = esp(routed[coupling], qpu)
             wait = qpu.queue_length / max_queue if max_queue > 0 else 0.0
             score = alpha * (1.0 - wait) + beta * success
             if best_score is None or score > best_score:
@@ -345,7 +349,9 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_knit_range, ranges)
 
-    values = sum(parts).ravel()
+    values = parts[0].ravel()  # summed in place, in worker order
+    for part in parts[1:]:
+        values += part.ravel()
     # Fragments own disjoint output bits, so the OR-products are unique; the
     # first fragment varies fastest, as in the accumulator.
     keys = np.zeros(1, dtype=np.int64)

@@ -12,12 +12,12 @@ reuse pass may later merge several qubits onto one wire. The graphs always
 speak about original qubits.
 
 A VirtualCircuit is mutated by one caller at a time; concurrent reads are
-fine, and instances move between processes via pickling.
+fine, and instances move between processes via pickling. Stream elements
+are frozen, so a copy shares them and owns only its containers and graphs.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import networkx as nx
 
@@ -86,6 +86,9 @@ def element_wires(x) -> tuple[int, ...]:
 
 @dataclass
 class VirtualCircuit:
+    """The IR of one circuit. A :meth:`copy` shares the frozen stream
+    elements and owns its lists, dicts and graphs."""
+
     num_qubits: int
     num_clbits: int
     instructions: list[VInstruction]
@@ -118,7 +121,14 @@ class VirtualCircuit:
         return max((f.width for f in self.fragments), default=0)
 
     def copy(self) -> "VirtualCircuit":
-        return copy.deepcopy(self)
+        # Graph.copy copies each edge-data dict, so weight updates stay local.
+        return replace(
+            self, instructions=list(self.instructions),
+            op_graph=self.op_graph.copy(), qubit_graph=self.qubit_graph.copy(),
+            gate_qubits=dict(self.gate_qubits),
+            virtual_gates=dict(self.virtual_gates),
+            gate_order=list(self.gate_order), wire_of=dict(self.wire_of),
+            wire_hosts={w: list(q) for w, q in self.wire_hosts.items()})
 
 
 def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:

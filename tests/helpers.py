@@ -6,8 +6,9 @@ channel evolution, unpruned partition enumeration, a Floyd-Warshall
 reachability closure, and a knitter that loops over global instances in
 plain Python with dict accumulation. The compiler's single-sweep passes
 are checked against the algorithms they replaced: a predecessor-list DFS
-for a wire's dependency closure, and a peephole optimizer that repeats
-whole rounds until no pair is left.
+for a wire's dependency closure, a peephole optimizer that repeats
+whole rounds until no pair is left, and a Kernighan-Lin cut plan that
+bisects networkx subgraph views.
 """
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ import random
 
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
+from networkx.algorithms.community import kernighan_lin_bisection
 
 from gatevm.circuit import Circuit, GATES_2Q
 from gatevm.codegen import ParamCircuit, Placeholder
@@ -281,6 +284,32 @@ def reference_knit(results, coeffs) -> dict[int, float]:
         for key, v in terms.items():
             out[key] = out.get(key, 0.0) + c * v
     return {key: v for key, v in out.items() if abs(v) >= 1e-12}
+
+
+def reference_kl_cut_plan(graph, s: int, rng: random.Random, restarts: int):
+    """Iterated Kernighan-Lin bisection of the largest component, run on a
+    subgraph view of the working graph: cut edges and final parts."""
+    work = graph.copy()
+    removed: list[tuple[int, int]] = []
+    while True:
+        comps = sorted(nx.connected_components(work), key=lambda c: (-len(c), min(c)))
+        if not comps or len(comps[0]) <= s:
+            break
+        sub = work.subgraph(comps[0])
+        best = None
+        for _ in range(restarts):
+            part = kernighan_lin_bisection(
+                sub, weight="weight", seed=rng.randrange(2**32))
+            cost = sum(w for u, v, w in sub.edges(data="weight")
+                       if (u in part[0]) != (v in part[0]))
+            if best is None or cost < best[0]:
+                best = (cost, part)
+        _, (v1, _) = best
+        crossing = sorted((min(u, v), max(u, v)) for u, v in sub.edges
+                          if (u in v1) != (v in v1))
+        removed.extend(crossing)
+        work.remove_edges_from(crossing)
+    return removed, sorted(nx.connected_components(work), key=min)
 
 
 def _wires(x) -> tuple[int, ...]:

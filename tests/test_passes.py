@@ -5,8 +5,10 @@ import time
 import networkx as nx
 import pytest
 
+from gatevm import passes
 from gatevm.circuit import Circuit, instr
 from gatevm.passes import (
+    KL_RESTARTS,
     InstanceTooLargeError,
     PassConfig,
     WidthUnreachableError,
@@ -19,6 +21,7 @@ from gatevm.passes import (
     run_pipeline,
     solve_cut_exact,
     _closure_of_wire,
+    _kl_cut_plan,
     _merge_wires,
     _wire_dependencies,
 )
@@ -33,7 +36,8 @@ from fixtures import (
     fully_dependent_circuit,
     two_cluster_circuit,
 )
-from helpers import brute_force_min_cut, random_circuit, reference_closure
+from helpers import (brute_force_min_cut, random_circuit, reference_closure,
+                     reference_kl_cut_plan)
 
 
 def random_weighted_graph(rng, n):
@@ -120,6 +124,36 @@ def test_greedy_never_beats_exact():
         exact = cut_exact(vc, cfg(s, 10 ** 6, seed=trial))
         greedy = cut_greedy_kl(vc, cfg(s, 10 ** 6, seed=trial))
         assert len(greedy.virtual_gates) >= len(exact.virtual_gates)
+
+
+@pytest.mark.parametrize("restarts, graphs", [(1, 400), (KL_RESTARTS, 40)])
+def test_kl_cut_plan_matches_view_reference(monkeypatch, restarts, graphs):
+    # Sparse weighted graphs up to 64 nodes, half with shuffled node order
+    # and a third handed in as subgraph views (as solve_cut_exact does). A
+    # node's neighbour order steers Kernighan-Lin's ties, so the plan on
+    # materialized subgraphs must equal the plan on views edge for edge.
+    # One restart per bisection checks many graphs quickly.
+    monkeypatch.setattr(passes, "KL_RESTARTS", restarts)
+    rng = random.Random(31)
+    for trial in range(graphs):
+        n = rng.randint(4, 64)
+        nodes = list(range(n))
+        if trial % 2:
+            rng.shuffle(nodes)
+        g = nx.Graph()
+        g.add_nodes_from(nodes)
+        for _ in range(rng.randint(n - 1, 3 * n)):
+            a, b = rng.sample(range(n), 2)
+            if g.has_edge(a, b):
+                g[a][b]["weight"] += 1
+            else:
+                g.add_edge(a, b, weight=rng.choice((1, 1, 2, 3)))
+        if trial % 3 == 0:
+            g = g.subgraph(sorted(rng.sample(range(n), max(2, n - 3))))
+        s = rng.randint(2, max(2, n // 2))
+        seed = rng.randrange(1000)
+        expect = reference_kl_cut_plan(g, s, random.Random(seed), restarts)
+        assert _kl_cut_plan(g, s, random.Random(seed)) == expect, trial
 
 
 def test_cut_respects_fragment_size():

@@ -9,7 +9,8 @@ from gatevm import runtime, sim
 from gatevm.circuit import Circuit, instr
 from gatevm.codegen import Placeholder, generate
 from gatevm.passes import PassConfig, WidthUnreachableError, run_pipeline
-from gatevm.qpu import QpuModel, QpuError, fleet_from_json, fleet_to_json, line_qpu
+from gatevm.qpu import (QpuModel, QpuError, fleet_from_json, fleet_to_json,
+                        heavy_hex_qpu, line_qpu)
 from gatevm.runtime import (
     MAX_KNIT_ENTRIES,
     FragmentResultEntry,
@@ -23,6 +24,7 @@ from gatevm.runtime import (
     global_coefficients,
     instantiate,
     knit,
+    metric_proxy,
     run_program,
     schedule,
 )
@@ -215,6 +217,36 @@ def test_schedule_matches_independent_argmax():
             assert assignment[pc.fragment_index] == expect.name, trial
             expect.queue_length += 6 ** len(
                 pc.touching_gates(prog.gate_order))
+
+
+def test_schedule_routes_once_per_coupling_map(monkeypatch):
+    # Two heavy-hex devices with one coupling map and different error
+    # rates: each fragment is routed once, every candidate's ESP uses its
+    # own rates, and the assignment equals routing every candidate.
+    c = Circuit(8, [instr("h", 0)] + [instr("cx", a, b) for a, b in
+                                      ((0, 5), (5, 2), (2, 7), (1, 6), (6, 3),
+                                       (3, 4), (4, 1), (7, 1))])
+    prog = compiled(c, [7])
+
+    def make_fleet():
+        noisy = {"2q": 0.03, "1q": 0.002, "measure": 0.02}
+        clean = {"2q": 0.01, "1q": 0.001, "measure": 0.01}
+        return [heavy_hex_qpu("hh-a", error_rates=noisy),
+                heavy_hex_qpu("hh-b", error_rates=clean)]
+
+    expected = {}
+    for pc in prog.fragments:
+        success = {q.name: esp(map_and_route(metric_proxy(pc), q, 3), q)
+                   for q in make_fleet()}
+        assert success["hh-b"] > success["hh-a"]
+        expected[pc.fragment_index] = max(success, key=success.get)
+    routed = []
+    monkeypatch.setattr(runtime, "map_and_route",
+                        lambda circ, qpu, seed=0: routed.append(qpu.name)
+                        or map_and_route(circ, qpu, seed))
+    assert schedule(prog, make_fleet(), alpha=0.0, beta=1.0, seed=3) == expected
+    assert set(expected.values()) == {"hh-b"}
+    assert len(routed) == len(prog.fragments) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from gatevm.circuit import Circuit, instr
+from gatevm.passes import PassConfig, WidthUnreachableError, _merge_wires, run_pipeline
 from gatevm.vc import (
     Gate2,
     VcError,
@@ -236,3 +237,72 @@ def test_dot_dumps():
     q_dot = qubit_graph_dot(vc)
     assert op_dot.startswith("digraph") and "g0" in op_dot
     assert q_dot.startswith("graph") and "q0 -- q1" in q_dot
+
+
+# ---------------------------------------------------------------------------
+# copies
+
+def snapshot(vc):
+    """Every field by value, with both graphs' node, neighbour and edge-data
+    order."""
+    def graph(g):
+        return [(u, dict(g.nodes[u]), [(v, repr(d)) for v, d in nbrs.items()])
+                for u, nbrs in g.adjacency()]
+    return (vc.num_qubits, vc.num_clbits, vc.name, list(vc.instructions),
+            dict(vc.gate_qubits), dict(vc.virtual_gates), list(vc.gate_order),
+            dict(vc.wire_of), {w: list(q) for w, q in vc.wire_hosts.items()},
+            graph(vc.op_graph), graph(vc.qubit_graph))
+
+
+def _cut_showcase():
+    vc = from_circuit(dep_showcase_circuit())
+    virt_gate(vc, 1)
+    return vc
+
+
+def test_mutating_a_copy_leaves_the_original_unchanged():
+    vc = _cut_showcase()
+    before = snapshot(vc)
+    for mutate in (
+            lambda c: virt_gate(c, 3),
+            lambda c: _merge_wires(c, 0, 2),  # extends wire_hosts, rewrites wire_of
+            lambda c: c.qubit_graph.edges[0, 1].update(weight=99),
+            lambda c: c.op_graph.remove_node(2)):
+        copy = vc.copy()
+        mutate(copy)
+        assert snapshot(copy) != before
+        assert snapshot(vc) == before
+
+
+def test_run_pipeline_leaves_its_input_unchanged():
+    rng = random.Random(9)
+    merged = 0
+    for seed in range(40):
+        n = rng.randint(4, 8)
+        vc = from_circuit(random_circuit(rng, n, rng.randint(n, 3 * n)))
+        before = snapshot(vc)
+        cfg = PassConfig(max_fragment_size=rng.randint(2, n - 1),
+                         budget=rng.randint(0, 3), seed=seed)
+        try:
+            out = run_pipeline(vc, cfg)
+        except WidthUnreachableError:
+            continue
+        merged += len(out.wire_hosts) < n
+        assert snapshot(vc) == before
+    assert merged >= 5
+
+
+def test_copy_shares_stream_elements_but_not_containers_or_graphs():
+    a = _cut_showcase()
+    b = a.copy()
+    assert b.instructions == a.instructions
+    assert all(x is y for x, y in zip(a.instructions, b.instructions))
+    assert b.virtual_gates[1] is a.virtual_gates[1]
+    for name in ("instructions", "gate_qubits", "virtual_gates", "gate_order",
+                 "wire_of", "wire_hosts", "op_graph", "qubit_graph"):
+        assert getattr(b, name) is not getattr(a, name), name
+    assert all(b.wire_hosts[w] is not a.wire_hosts[w] for w in a.wire_hosts)
+    u, v = next(iter(a.qubit_graph.edges))
+    assert b.qubit_graph[u][v] is not a.qubit_graph[u][v]
+    assert b.qubit_graph[u][v] == a.qubit_graph[u][v]
+    assert sorted(b.op_graph.edges(keys=True)) == sorted(a.op_graph.edges(keys=True))
