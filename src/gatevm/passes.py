@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
 from networkx.algorithms.community import kernighan_lin_bisection
 
 from .circuit import instr
-from .vc import (Gate2, VirtualCircuit, VirtualSide, dependency_pairs,
-                 element_wires, remove_gate_relinked, virt_between,
-                 virt_gate)
+from .vc import (Gate2, VirtualCircuit, VirtualSide, dependency_masks,
+                 dependency_pairs, element_wires, virt_between, virt_gate)
 
 EXACT_CUT_MAX_QUBITS = 14
 EXACT_DR_MAX_GATES = 16
@@ -231,21 +231,19 @@ def cut_greedy_kl(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
 def reduce_dependencies_exact(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
     """Virtualize the gate set of size <= budget that provably minimizes the
     number of qubit dependencies (ties: fewer gates, then lowest ids)."""
-    from itertools import combinations
-
-    gate_ids = sorted(gid for gid in vc.op_graph.nodes)
+    gates = {x.id: vc.gate_qubits[x.id] for x in vc.instructions
+             if isinstance(x, Gate2)}
+    gate_ids = sorted(gates)
     if len(gate_ids) > EXACT_DR_MAX_GATES:
         raise InstanceTooLargeError(
             f"{len(gate_ids)} gates exceeds the exact-reducer bound of "
             f"{EXACT_DR_MAX_GATES}")
     best_subset: tuple[int, ...] = ()
-    best_dq = len(dependency_pairs(vc.op_graph, vc.gate_qubits))
+    best_dq = len(dependency_pairs(gates.values()))
     for size in range(1, min(cfg.budget, len(gate_ids)) + 1):
         for subset in combinations(gate_ids, size):
-            g = vc.op_graph.copy()
-            for gid in subset:
-                remove_gate_relinked(g, gid)
-            dq = len(dependency_pairs(g, vc.gate_qubits))
+            dq = len(dependency_pairs(qubits for gid, qubits in gates.items()
+                                      if gid not in subset))
             if dq < best_dq:
                 best_dq = dq
                 best_subset = subset
@@ -255,53 +253,42 @@ def reduce_dependencies_exact(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCir
     return out
 
 
-def gate_costs(vc: VirtualCircuit) -> dict[int, int]:
-    """anc(g) * desc(g) for every real two-qubit gate.
+def _ancestor_counts(gates: list[tuple[int, int]], n: int) -> list[int]:
+    """Number of ancestors of each gate, given the gates' qubit pairs in
+    execution order.
 
-    One forward and one reverse sweep in topological (= instruction) order.
-    The operation graph is a union of per-wire chains, so a gate's ancestor
-    set is the union of per-wire chain prefixes up to a frontier, and every
-    ancestor, being a two-qubit gate, lies on exactly two of those wires:
-    anc(g) = sum_q (frontier[q] + 1) / 2. Runs in O(gates * width).
+    Each qubit keeps the frontier vector of its last gate: per qubit, the
+    highest chain index among that gate and its ancestors. A gate's
+    predecessors are the last gates on its two qubits, so its ancestors'
+    frontier is the elementwise max of their two vectors. Every ancestor lies
+    on exactly two chains, which gives anc = sum_q (frontier[q] + 1) / 2.
+    """
+    empty = np.full(n, -1, dtype=np.int64)
+    last: dict[int, np.ndarray] = {}
+    chain_len = [0] * n
+    counts = []
+    for qa, qb in gates:
+        fv = np.maximum(last.get(qa, empty), last.get(qb, empty))
+        counts.append((int(fv.sum()) + n) // 2)
+        for q in (qa, qb):
+            fv[q] = chain_len[q]
+            chain_len[q] += 1
+            last[q] = fv
+    return counts
+
+
+def gate_costs(vc: VirtualCircuit) -> dict[int, int]:
+    """anc(g) * desc(g) for every real two-qubit gate, in stream order.
+
+    The real gates in stream order are a topological order of their
+    dependencies, and reversing it reverses every edge: one forward and one
+    reverse :func:`_ancestor_counts` sweep. Runs in O(gates * width).
     """
     order = [x.id for x in vc.instructions if isinstance(x, Gate2)]
-    n = vc.num_qubits
-    chain_len: dict[int, int] = {}
-    pos: dict[int, tuple[tuple[int, int], ...]] = {}
-    for gid in order:
-        entries = []
-        for q in vc.gate_qubits[gid]:
-            entries.append((q, chain_len.get(q, 0)))
-            chain_len[q] = chain_len.get(q, 0) + 1
-        pos[gid] = tuple(entries)
-
-    def sweep(sequence, neighbors, positions):
-        counts: dict[int, int] = {}
-        frontier: dict[int, np.ndarray] = {}
-        consumers = {gid: 0 for gid in sequence}
-        for gid in sequence:
-            for p in set(neighbors(gid)):
-                consumers[p] += 1
-        for gid in sequence:
-            fv = np.full(n, -1, dtype=np.int64)
-            for p in set(neighbors(gid)):
-                np.maximum(fv, frontier[p], out=fv)
-                for q, idx in positions[p]:
-                    if idx > fv[q]:
-                        fv[q] = idx
-                consumers[p] -= 1
-                if consumers[p] == 0:
-                    del frontier[p]
-            counts[gid] = (int(fv.sum()) + n) // 2
-            frontier[gid] = fv
-        return counts
-
-    anc = sweep(order, lambda g: list(vc.op_graph.predecessors(g)), pos)
-    rpos = {gid: tuple((q, chain_len[q] - 1 - idx) for q, idx in entries)
-            for gid, entries in pos.items()}
-    desc = sweep(list(reversed(order)),
-                 lambda g: list(vc.op_graph.successors(g)), rpos)
-    return {gid: anc[gid] * desc[gid] for gid in order}
+    gates = [vc.gate_qubits[gid] for gid in order]
+    anc = _ancestor_counts(gates, vc.num_qubits)
+    desc = _ancestor_counts(gates[::-1], vc.num_qubits)[::-1]
+    return {gid: a * d for gid, a, d in zip(order, anc, desc)}
 
 
 def reduce_dependencies_greedy(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
@@ -349,15 +336,7 @@ def _closure_of_wire(instructions: list, wire: int) -> set[int]:
 def _wire_dependencies(instructions: list) -> dict[int, int]:
     """Per wire, a bitmask of the wires its content depends on: the wires of
     every instruction in :func:`_closure_of_wire`, from one forward sweep."""
-    dep: dict[int, int] = {}
-    for x in instructions:
-        wires = element_wires(x)
-        mask = 0
-        for w in wires:
-            mask |= dep.get(w, 0) | (1 << w)
-        for w in wires:
-            dep[w] = mask
-    return dep
+    return dependency_masks(map(element_wires, instructions))
 
 
 def _relabel_wire(x, src: int, dst: int):

@@ -73,12 +73,9 @@ class InstanceSet:
     param_circuit: ParamCircuit
 
 
-def instantiate(program: CompiledProgram) -> list[InstanceSet]:
-    """Enumerate the 6^k_j instances of every fragment.
-
-    k_j counts the virtual gates touching the fragment; a gate internal to a
-    fragment drives both of its placeholders with a single index.
-    """
+def _fragment_gates(program: CompiledProgram) -> list[tuple[ParamCircuit, list[int]]]:
+    """Each fragment with the virtual gates touching it, once every
+    fragment's 6^k_j instances are known to fit the limit."""
     out = []
     for pc in program.fragments:
         gate_ids = pc.touching_gates(program.gate_order)
@@ -87,9 +84,20 @@ def instantiate(program: CompiledProgram) -> list[InstanceSet]:
             raise InstantiationOverflowError(
                 f"fragment {pc.fragment_index} needs {count} instances "
                 f"(limit {MAX_FRAGMENT_INSTANCES})")
-        instances = list(itertools.product(range(6), repeat=len(gate_ids)))
-        out.append(InstanceSet(pc.fragment_index, gate_ids, instances, pc))
+        out.append((pc, gate_ids))
     return out
+
+
+def instantiate(program: CompiledProgram) -> list[InstanceSet]:
+    """Enumerate the 6^k_j instances of every fragment.
+
+    k_j counts the virtual gates touching the fragment; a gate internal to a
+    fragment drives both of its placeholders with a single index.
+    """
+    return [InstanceSet(pc.fragment_index, gate_ids,
+                        list(itertools.product(range(6), repeat=len(gate_ids))),
+                        pc)
+            for pc, gate_ids in _fragment_gates(program)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +225,10 @@ def execute(program: CompiledProgram, assignment: dict[int, str] | None = None,
         if missing:
             raise ExecutionError(f"assignment misses fragments {missing}")
     entries = []
-    for iset in instantiate(program):
-        pc, count = iset.param_circuit, len(iset.instances)
-        kj = len(iset.gate_ids)
-        stride = {gid: 6 ** (kj - 1 - t) for t, gid in enumerate(iset.gate_ids)}
+    for pc, gate_ids in _fragment_gates(program):
+        kj = len(gate_ids)
+        count = 6 ** kj
+        stride = {gid: 6 ** (kj - 1 - t) for t, gid in enumerate(gate_ids)}
         vectors = iter(pc.param_vectors)
         circuit = Circuit(pc.num_qubits, [
             Slot(el.qubit, next(vectors), stride[el.gate_id])
@@ -234,7 +242,7 @@ def execute(program: CompiledProgram, assignment: dict[int, str] | None = None,
             dists = [r.to_signed_distribution()
                      for r in run_batch(circuit, count, shots, seeds)]
         entries.append(FragmentResultEntry(
-            pc.fragment_index, list(iset.gate_ids), list(pc.clbit_map), dists))
+            pc.fragment_index, gate_ids, list(pc.clbit_map), dists))
     return FragmentResults(entries, list(program.gate_order), program.num_clbits)
 
 

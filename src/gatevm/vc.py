@@ -3,9 +3,12 @@
 A :class:`VirtualCircuit` extends the instruction stream with virtual
 gates, each realized as two independently schedulable per-qubit sides. Two
 graphs are maintained incrementally: the operation graph (a DAG of real
-two-qubit gates linked by direct wire dependencies) and the qubit graph
-(qubits weighted by the number of real two-qubit gates between them).
-Fragments are the connected components of the qubit graph.
+two-qubit gates linked by direct wire dependencies, kept for the DOT dump
+and the tests) and the qubit graph (qubits weighted by the number of real
+two-qubit gates between them). Fragments are the connected components of
+the qubit graph. Qubit dependencies come from one forward sweep over the
+stream (:func:`dependency_masks`), whose real gates are in a topological
+order of the operation graph.
 
 Instructions reference *wires*. Initially wire i hosts qubit i; the qubit
 reuse pass may later merge several qubits onto one wire. The graphs always
@@ -276,37 +279,44 @@ def virt_between(vc: VirtualCircuit, q_i: int, q_j: int) -> VirtualCircuit:
     return vc
 
 
-def dependency_pairs(op_graph: nx.MultiDiGraph,
-                     gate_qubits: dict[int, tuple[int, int]]) -> set[tuple[int, int]]:
-    """Ordered pairs (q_i, q_j) where q_i depends on q_j in an operation graph.
+def dependency_masks(ops) -> dict[int, int]:
+    """Per wire, a bitmask of the wires its content depends on, its own bit
+    included. ``ops`` gives each operation's wires in execution order; an
+    operation ORs the masks of its wires and stores the result on each."""
+    dep: dict[int, int] = {}
+    for wires in ops:
+        mask = 0
+        for w in wires:
+            mask |= dep.get(w, 0) | (1 << w)
+        for w in wires:
+            dep[w] = mask
+    return dep
 
-    q_i depends on q_j when some two-qubit gate of the graph acting on q_i is
-    reachable from some gate acting on q_j (a gate acting on both qubits
-    counts).
+
+def dependency_pairs(gates) -> set[tuple[int, int]]:
+    """Ordered pairs (q_i, q_j) where q_i depends on q_j, given the qubit
+    pairs of two-qubit gates in execution order.
+
+    q_i depends on q_j when some gate acting on q_i follows, through a chain
+    of gates sharing a qubit, some gate acting on q_j (a gate acting on both
+    qubits counts).
     """
-    reach_qubits: dict[int, int] = {}
     pairs: set[tuple[int, int]] = set()
-    for gid in reversed(list(nx.topological_sort(op_graph))):
-        qa, qb = gate_qubits[gid]
-        mask = (1 << qa) | (1 << qb)
-        for succ in op_graph.successors(gid):
-            mask |= reach_qubits[succ]
-        reach_qubits[gid] = mask
-        for q_src in (qa, qb):
-            m = mask
-            q = 0
-            while m:
-                if m & 1 and q != q_src:
-                    pairs.add((q, q_src))
-                m >>= 1
-                q += 1
+    for q, mask in dependency_masks(gates).items():
+        mask &= ~(1 << q)
+        while mask:
+            low = mask & -mask
+            pairs.add((q, low.bit_length() - 1))
+            mask ^= low
     return pairs
 
 
 def qubit_dependencies(vc: VirtualCircuit) -> set[tuple[int, int]]:
-    """:func:`dependency_pairs` of the operation graph. Virtual gates have
-    left that graph, so they contribute nothing."""
-    return dependency_pairs(vc.op_graph, vc.gate_qubits)
+    """:func:`dependency_pairs` of the real gates' original qubits, in stream
+    order. A virtual gate's sides are not real gates, so they contribute
+    nothing."""
+    return dependency_pairs(vc.gate_qubits[x.id] for x in vc.instructions
+                            if isinstance(x, Gate2))
 
 
 def to_circuit(vc: VirtualCircuit) -> Circuit:
@@ -328,12 +338,11 @@ def to_circuit(vc: VirtualCircuit) -> Circuit:
 
 def op_graph_dot(vc: VirtualCircuit) -> str:
     """Graphviz DOT rendering of the operation graph."""
+    kinds = {x.id: x.kind for x in vc.instructions if isinstance(x, Gate2)}
     lines = ["digraph op_graph {"]
     for gid in sorted(vc.op_graph.nodes):
         qa, qb = vc.gate_qubits[gid]
-        kind = next(x.kind for x in vc.instructions
-                    if isinstance(x, Gate2) and x.id == gid)
-        lines.append(f'  g{gid} [label="g{gid}: {kind}({qa},{qb})"];')
+        lines.append(f'  g{gid} [label="g{gid}: {kinds[gid]}({qa},{qb})"];')
     for u, v, key in sorted(vc.op_graph.edges(keys=True)):
         lines.append(f'  g{u} -> g{v} [label="q{key}"];')
     lines.append("}")

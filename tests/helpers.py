@@ -7,8 +7,10 @@ reachability closure, and a knitter that loops over global instances in
 plain Python with dict accumulation. The compiler's single-sweep passes
 are checked against the algorithms they replaced: a predecessor-list DFS
 for a wire's dependency closure, a peephole optimizer that repeats
-whole rounds until no pair is left, and a Kernighan-Lin cut plan that
-bisects networkx subgraph views.
+whole rounds until no pair is left, a Kernighan-Lin cut plan that
+bisects networkx subgraph views, and dependency pairs and gate costs read
+off the maintained operation graph (a topological sort with a reachability
+walk, and frontier sweeps over graph predecessors and successors).
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from networkx.algorithms.community import kernighan_lin_bisection
 
 from gatevm.circuit import Circuit, GATES_2Q
 from gatevm.codegen import ParamCircuit, Placeholder
+from gatevm.vc import Gate2
 
 _S2 = 1.0 / math.sqrt(2.0)
 H = np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex)
@@ -310,6 +313,74 @@ def reference_kl_cut_plan(graph, s: int, rng: random.Random, restarts: int):
         removed.extend(crossing)
         work.remove_edges_from(crossing)
     return removed, sorted(nx.connected_components(work), key=min)
+
+
+def reference_dependency_pairs(op_graph, gate_qubits) -> set[tuple[int, int]]:
+    """Ordered pairs (q_i, q_j) where some gate of the operation graph acting
+    on q_i is reachable from some gate acting on q_j: a reverse walk in
+    topological order that unions successors' reachable-qubit masks."""
+    reach_qubits: dict[int, int] = {}
+    pairs: set[tuple[int, int]] = set()
+    for gid in reversed(list(nx.topological_sort(op_graph))):
+        qa, qb = gate_qubits[gid]
+        mask = (1 << qa) | (1 << qb)
+        for succ in op_graph.successors(gid):
+            mask |= reach_qubits[succ]
+        reach_qubits[gid] = mask
+        for q_src in (qa, qb):
+            m = mask
+            q = 0
+            while m:
+                if m & 1 and q != q_src:
+                    pairs.add((q, q_src))
+                m >>= 1
+                q += 1
+    return pairs
+
+
+def reference_gate_costs(vc) -> dict[int, int]:
+    """anc(g) * desc(g) for every real gate, from frontier sweeps over the
+    operation graph's predecessors and successors. A gate's frontier is the
+    elementwise max of its neighbours' frontiers and chain positions, and a
+    neighbour's frontier is dropped once its last consumer has read it."""
+    order = [x.id for x in vc.instructions if isinstance(x, Gate2)]
+    n = vc.num_qubits
+    chain_len: dict[int, int] = {}
+    pos: dict[int, tuple[tuple[int, int], ...]] = {}
+    for gid in order:
+        entries = []
+        for q in vc.gate_qubits[gid]:
+            entries.append((q, chain_len.get(q, 0)))
+            chain_len[q] = chain_len.get(q, 0) + 1
+        pos[gid] = tuple(entries)
+
+    def sweep(sequence, neighbors, positions):
+        counts: dict[int, int] = {}
+        frontier: dict[int, np.ndarray] = {}
+        consumers = {gid: 0 for gid in sequence}
+        for gid in sequence:
+            for p in set(neighbors(gid)):
+                consumers[p] += 1
+        for gid in sequence:
+            fv = np.full(n, -1, dtype=np.int64)
+            for p in set(neighbors(gid)):
+                np.maximum(fv, frontier[p], out=fv)
+                for q, idx in positions[p]:
+                    if idx > fv[q]:
+                        fv[q] = idx
+                consumers[p] -= 1
+                if consumers[p] == 0:
+                    del frontier[p]
+            counts[gid] = (int(fv.sum()) + n) // 2
+            frontier[gid] = fv
+        return counts
+
+    anc = sweep(order, lambda g: list(vc.op_graph.predecessors(g)), pos)
+    rpos = {gid: tuple((q, chain_len[q] - 1 - idx) for q, idx in entries)
+            for gid, entries in pos.items()}
+    desc = sweep(list(reversed(order)),
+                 lambda g: list(vc.op_graph.successors(g)), rpos)
+    return {gid: anc[gid] * desc[gid] for gid in order}
 
 
 def _wires(x) -> tuple[int, ...]:

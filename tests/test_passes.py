@@ -37,6 +37,7 @@ from fixtures import (
     two_cluster_circuit,
 )
 from helpers import (brute_force_min_cut, random_circuit, reference_closure,
+                     reference_dependency_pairs, reference_gate_costs,
                      reference_kl_cut_plan)
 
 
@@ -543,6 +544,37 @@ def test_wire_closure_and_masks_match_reference():
                 elif getattr(x, "kind", None) in ("barrier", "reset"):
                     kinds[x.kind] += 1
     assert all(count > 20 for count in kinds.values()), kinds
+
+
+def test_stream_dependencies_and_costs_match_graph_reference():
+    # The passes read dependencies off the stream, never off the maintained
+    # operation graph: both must agree on fresh IRs, after virtualizations
+    # and after qubit-reuse merges have reordered the stream.
+    rng = random.Random(1010)
+    seen = {"fresh": 0, "virtual": 0, "merged": 0}
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        c = random_circuit(rng, n, rng.randint(2, 40),
+                           two_qubit_prob=rng.uniform(0.2, 0.6))
+        vc = from_circuit(c)
+        irs = [("fresh", vc.copy())]
+        gids = sorted(vc.gate_qubits)
+        for gid in rng.sample(gids, rng.randint(0, len(gids) * 2 // 3)):
+            virt_gate(vc, gid)
+        irs.append(("virtual", vc))
+        try:
+            merged = reuse_qubits(vc, cfg(max(1, vc.max_fragment_width() - 1),
+                                          0, seed=rng.randrange(100)))
+        except WidthUnreachableError:
+            merged = vc
+        if len(merged.wire_hosts) < n:
+            irs.append(("merged", merged))
+        for label, ir in irs:
+            assert (qubit_dependencies(ir)
+                    == reference_dependency_pairs(ir.op_graph, ir.gate_qubits))
+            assert gate_costs(ir) == reference_gate_costs(ir)
+            seen[label] += 1
+    assert seen["merged"] >= 80, seen
 
 
 def test_pipeline_knit_equivalence_mini_campaign():

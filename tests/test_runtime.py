@@ -90,6 +90,22 @@ def test_instantiation_overflow_guard():
         instantiate(prog)
 
 
+def test_execute_overflow_guard_builds_no_instances():
+    # Fragments {0} and {1} touch 7 gates each (6^7 instances), fragment {2}
+    # touches 9 (6^9, over the limit): execute refuses before it enumerates
+    # or runs any fragment's instances.
+    c = Circuit(4, [instr("cx", 0, 1)] * 7 + [instr("cx", 2, 3)] * 9)
+    prog = compiled(c, range(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstantiationOverflowError, match="fragment 2"):
+            execute(prog)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # global coefficients
 
