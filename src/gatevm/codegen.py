@@ -196,7 +196,7 @@ def generate(vc: VirtualCircuit) -> CompiledProgram:
     coeffs = {gid: vg.decomposition.coefficients()
               for gid, vg in vc.virtual_gates.items()}
     info = {gid: (vg.kind, vg.angle) for gid, vg in vc.virtual_gates.items()}
-    return CompiledProgram(param_circuits, coeffs, list(vc.gate_order),
+    return CompiledProgram(param_circuits, coeffs, list(vc.virtual_gates),
                            vc.num_clbits, info, name=vc.name)
 
 

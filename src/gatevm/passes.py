@@ -364,7 +364,6 @@ def _merge_wires(vc: VirtualCircuit, target: int, source: int) -> None:
     tail = [_relabel_wire(x, source, target)
             for i, x in enumerate(vc.instructions) if i not in closure]
     vc.instructions = head + [instr("reset", target)] + tail
-    vc.wire_hosts[target].extend(vc.wire_hosts.pop(source))
     for q, w in vc.wire_of.items():
         if w == source:
             vc.wire_of[q] = target

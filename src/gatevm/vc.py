@@ -1,22 +1,22 @@
 """Virtual-circuit IR: virtual gates, fragments, and the analysis graphs.
 
 A :class:`VirtualCircuit` extends the instruction stream with virtual
-gates, each realized as two independently schedulable per-qubit sides. Two
-graphs are maintained incrementally: the operation graph (a DAG of real
-two-qubit gates linked by direct wire dependencies, kept for the DOT dump
-and the tests) and the qubit graph (qubits weighted by the number of real
-two-qubit gates between them). Fragments are the connected components of
-the qubit graph. Qubit dependencies come from one forward sweep over the
-stream (:func:`dependency_masks`), whose real gates are in a topological
-order of the operation graph.
+gates, each realized as two independently schedulable per-qubit sides. The
+stream is the only dependency state. One graph is maintained incrementally:
+the qubit graph (qubits weighted by the number of real two-qubit gates
+between them), whose connected components are the fragments. The operation
+graph (a DAG of real two-qubit gates linked by direct qubit dependencies)
+is built from the stream on request for the DOT dump
+(:func:`operation_graph`). Qubit dependencies come from one forward sweep
+over the stream (:func:`dependency_masks`).
 
 Instructions reference *wires*. Initially wire i hosts qubit i; the qubit
 reuse pass may later merge several qubits onto one wire. The graphs always
 speak about original qubits.
 
 A VirtualCircuit is mutated by one caller at a time; concurrent reads are
-fine, and instances move between processes via pickling. Stream elements
-are frozen, so a copy shares them and owns only its containers and graphs.
+fine. Stream elements are frozen, so a copy shares them and owns only its
+containers and the qubit graph.
 """
 from __future__ import annotations
 
@@ -90,18 +90,16 @@ def element_wires(x) -> tuple[int, ...]:
 @dataclass
 class VirtualCircuit:
     """The IR of one circuit. A :meth:`copy` shares the frozen stream
-    elements and owns its lists, dicts and graphs."""
+    elements and owns its list, dicts and qubit graph."""
 
     num_qubits: int
     num_clbits: int
     instructions: list[VInstruction]
-    op_graph: nx.MultiDiGraph
     qubit_graph: nx.Graph
     gate_qubits: dict[int, tuple[int, int]]  # gate id -> original qubits
+    # creation order, which is the program's gate order
     virtual_gates: dict[int, VirtualGate] = field(default_factory=dict)
-    gate_order: list[int] = field(default_factory=list)  # creation order
-    wire_of: dict[int, int] = field(default_factory=dict)
-    wire_hosts: dict[int, list[int]] = field(default_factory=dict)
+    wire_of: dict[int, int] = field(default_factory=dict)  # qubit -> wire
     name: str = "circuit"
 
     @property
@@ -127,15 +125,13 @@ class VirtualCircuit:
         # Graph.copy copies each edge-data dict, so weight updates stay local.
         return replace(
             self, instructions=list(self.instructions),
-            op_graph=self.op_graph.copy(), qubit_graph=self.qubit_graph.copy(),
+            qubit_graph=self.qubit_graph.copy(),
             gate_qubits=dict(self.gate_qubits),
-            virtual_gates=dict(self.virtual_gates),
-            gate_order=list(self.gate_order), wire_of=dict(self.wire_of),
-            wire_hosts={w: list(q) for w, q in self.wire_hosts.items()})
+            virtual_gates=dict(self.virtual_gates), wire_of=dict(self.wire_of))
 
 
 def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
-    """Convert a circuit into the IR, building both graphs in one traversal.
+    """Convert a circuit into the IR, building the qubit graph in one traversal.
 
     Measurements must be terminal per qubit and are re-appended at the end
     of the stream; a circuit without measurements is read as measuring every
@@ -172,12 +168,10 @@ def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
         measured = {q: q for q in range(c.num_qubits)}
         num_clbits = c.num_qubits
 
-    op_graph = nx.MultiDiGraph()
     qubit_graph = nx.Graph()
     qubit_graph.add_nodes_from(range(c.num_qubits))
     gate_qubits: dict[int, tuple[int, int]] = {}
     instructions: list[VInstruction] = []
-    last_gate: dict[int, int] = {}
     next_id = 0
     for ins in gates:
         if ins.kind in GATES_2Q:
@@ -186,11 +180,6 @@ def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
             qa, qb = ins.qubits
             instructions.append(Gate2(gid, ins.kind, (qa, qb), ins.angle))
             gate_qubits[gid] = (qa, qb)
-            op_graph.add_node(gid)
-            for q in (qa, qb):
-                if q in last_gate:
-                    op_graph.add_edge(last_gate[q], gid, key=q, qubit=q)
-                last_gate[q] = gid
             u, v = min(qa, qb), max(qa, qb)
             if qubit_graph.has_edge(u, v):
                 qubit_graph[u][v]["weight"] += 1
@@ -206,34 +195,19 @@ def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
         num_qubits=c.num_qubits,
         num_clbits=num_clbits,
         instructions=instructions,
-        op_graph=op_graph,
         qubit_graph=qubit_graph,
         gate_qubits=gate_qubits,
         wire_of={q: q for q in range(c.num_qubits)},
-        wire_hosts={q: [q] for q in range(c.num_qubits)},
         name=name or c.name,
     )
-
-
-def remove_gate_relinked(op_graph: nx.MultiDiGraph, gid: int) -> None:
-    """Remove a gate from the operation graph, re-linking each of its wires."""
-    by_qubit: dict[int, dict[str, int]] = {}
-    for u, _, key in op_graph.in_edges(gid, keys=True):
-        by_qubit.setdefault(key, {})["pred"] = u
-    for _, v, key in op_graph.out_edges(gid, keys=True):
-        by_qubit.setdefault(key, {})["succ"] = v
-    op_graph.remove_node(gid)
-    for q, link in by_qubit.items():
-        if "pred" in link and "succ" in link:
-            op_graph.add_edge(link["pred"], link["succ"], key=q, qubit=q)
 
 
 def virt_gate(vc: VirtualCircuit, gate_id: int) -> VirtualCircuit:
     """Virtualize one real two-qubit gate in place.
 
-    The gate leaves the operation graph (its wire dependencies are
-    re-linked), the qubit-graph edge weight drops by one (edge removed at
-    zero), and the instruction is replaced by the gate's two sides.
+    The qubit-graph edge weight drops by one (edge removed at zero), and the
+    instruction is replaced by the gate's two sides, so the gate leaves the
+    operation graph, whose dependencies on its qubits now pass over it.
     Fragments follow from the updated qubit graph.
     """
     if gate_id in vc.virtual_gates:
@@ -246,8 +220,6 @@ def virt_gate(vc: VirtualCircuit, gate_id: int) -> VirtualCircuit:
         raise VcError(f"gate {gate_id} not present in the stream")
     gate = vc.instructions[pos]
 
-    remove_gate_relinked(vc.op_graph, gate_id)
-
     qa, qb = vc.gate_qubits[gate_id]
     u, v = min(qa, qb), max(qa, qb)
     weight = vc.qubit_graph[u][v]["weight"]
@@ -259,7 +231,6 @@ def virt_gate(vc: VirtualCircuit, gate_id: int) -> VirtualCircuit:
     vgate = VirtualGate(gate_id, gate.kind, (qa, qb), gate.angle,
                         decomposition_for(gate.kind, gate.angle))
     vc.virtual_gates[gate_id] = vgate
-    vc.gate_order.append(gate_id)
     vc.instructions[pos:pos + 1] = [
         VirtualSide(gate_id, "a", gate.qubits[0]),
         VirtualSide(gate_id, "b", gate.qubits[1]),
@@ -336,14 +307,31 @@ def to_circuit(vc: VirtualCircuit) -> Circuit:
                    num_clbits=vc.num_clbits).validate()
 
 
+def operation_graph(vc: VirtualCircuit) -> nx.MultiDiGraph:
+    """The operation graph, built from the stream: each real two-qubit gate
+    is linked to the last real gate before it on each of its original
+    qubits, with that qubit as edge key and ``qubit`` attribute."""
+    graph = nx.MultiDiGraph()
+    last_gate: dict[int, int] = {}
+    for x in vc.instructions:
+        if isinstance(x, Gate2):
+            graph.add_node(x.id)
+            for q in vc.gate_qubits[x.id]:
+                if q in last_gate:
+                    graph.add_edge(last_gate[q], x.id, key=q, qubit=q)
+                last_gate[q] = x.id
+    return graph
+
+
 def op_graph_dot(vc: VirtualCircuit) -> str:
     """Graphviz DOT rendering of the operation graph."""
+    graph = operation_graph(vc)
     kinds = {x.id: x.kind for x in vc.instructions if isinstance(x, Gate2)}
     lines = ["digraph op_graph {"]
-    for gid in sorted(vc.op_graph.nodes):
+    for gid in sorted(graph.nodes):
         qa, qb = vc.gate_qubits[gid]
         lines.append(f'  g{gid} [label="g{gid}: {kinds[gid]}({qa},{qb})"];')
-    for u, v, key in sorted(vc.op_graph.edges(keys=True)):
+    for u, v, key in sorted(graph.edges(keys=True)):
         lines.append(f'  g{u} -> g{v} [label="q{key}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,8 +9,10 @@ are checked against the algorithms they replaced: a predecessor-list DFS
 for a wire's dependency closure, a peephole optimizer that repeats
 whole rounds until no pair is left, a Kernighan-Lin cut plan that
 bisects networkx subgraph views, and dependency pairs and gate costs read
-off the maintained operation graph (a topological sort with a reachability
-walk, and frontier sweeps over graph predecessors and successors).
+off an incrementally maintained operation graph (a topological sort with a
+reachability walk, and frontier sweeps over graph predecessors and
+successors). That graph is built gate by gate in id order and then relinked
+around each virtual gate, without reading the stream's order.
 """
 from __future__ import annotations
 
@@ -315,6 +317,32 @@ def reference_kl_cut_plan(graph, s: int, rng: random.Random, restarts: int):
     return removed, sorted(nx.connected_components(work), key=min)
 
 
+def reference_op_graph(vc) -> nx.MultiDiGraph:
+    """The operation graph, maintained incrementally: link each gate, in id
+    (circuit) order, to the previous gate on each of its qubits, then remove
+    each virtual gate in creation order, re-linking its qubits' predecessor
+    and successor."""
+    op_graph = nx.MultiDiGraph()
+    last_gate: dict[int, int] = {}
+    for gid in sorted(vc.gate_qubits):
+        op_graph.add_node(gid)
+        for q in vc.gate_qubits[gid]:
+            if q in last_gate:
+                op_graph.add_edge(last_gate[q], gid, key=q, qubit=q)
+            last_gate[q] = gid
+    for gid in vc.virtual_gates:
+        by_qubit: dict[int, dict[str, int]] = {}
+        for u, _, key in op_graph.in_edges(gid, keys=True):
+            by_qubit.setdefault(key, {})["pred"] = u
+        for _, v, key in op_graph.out_edges(gid, keys=True):
+            by_qubit.setdefault(key, {})["succ"] = v
+        op_graph.remove_node(gid)
+        for q, link in by_qubit.items():
+            if "pred" in link and "succ" in link:
+                op_graph.add_edge(link["pred"], link["succ"], key=q, qubit=q)
+    return op_graph
+
+
 def reference_dependency_pairs(op_graph, gate_qubits) -> set[tuple[int, int]]:
     """Ordered pairs (q_i, q_j) where some gate of the operation graph acting
     on q_i is reachable from some gate acting on q_j: a reverse walk in
@@ -338,7 +366,7 @@ def reference_dependency_pairs(op_graph, gate_qubits) -> set[tuple[int, int]]:
     return pairs
 
 
-def reference_gate_costs(vc) -> dict[int, int]:
+def reference_gate_costs(vc, op_graph) -> dict[int, int]:
     """anc(g) * desc(g) for every real gate, from frontier sweeps over the
     operation graph's predecessors and successors. A gate's frontier is the
     elementwise max of its neighbours' frontiers and chain positions, and a
@@ -375,11 +403,11 @@ def reference_gate_costs(vc) -> dict[int, int]:
             frontier[gid] = fv
         return counts
 
-    anc = sweep(order, lambda g: list(vc.op_graph.predecessors(g)), pos)
+    anc = sweep(order, lambda g: list(op_graph.predecessors(g)), pos)
     rpos = {gid: tuple((q, chain_len[q] - 1 - idx) for q, idx in entries)
             for gid, entries in pos.items()}
     desc = sweep(list(reversed(order)),
-                 lambda g: list(vc.op_graph.successors(g)), rpos)
+                 lambda g: list(op_graph.successors(g)), rpos)
     return {gid: anc[gid] * desc[gid] for gid in order}
 
 

@@ -33,6 +33,31 @@ def test_parse_dump_graphs(ghz_file, capsys):
     assert "digraph op_graph" in err and "graph qubit_graph" in err
 
 
+def test_compile_dump_graphs_after_the_passes(tmp_path, capsys):
+    # The budget virtualizes g1, so q1's dependency passes from g0 to g2,
+    # and qubit reuse runs q0 on q3's wire to reach width 2.
+    src = tmp_path / "star.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[4];\n"
+                   "cx q[3],q[1];\ncx q[2],q[1];\ncx q[0],q[1];\n")
+    prog = tmp_path / "prog.json"
+    assert main(["compile", str(src), "--max-fragment-size", "2",
+                 "--budget", "1", "--dump-graphs", "-o", str(prog)]) == 0
+    doc = json.loads(prog.read_text())
+    assert doc["gate_order"] == [1]
+    assert [f["qubit_map"] for f in doc["fragments"]] == [[1, 3], [2]]
+    assert capsys.readouterr().err == (
+        "digraph op_graph {\n"
+        '  g0 [label="g0: cx(3,1)"];\n'
+        '  g2 [label="g2: cx(0,1)"];\n'
+        '  g0 -> g2 [label="q1"];\n'
+        "}\n"
+        "graph qubit_graph {\n"
+        "  q0;\n  q1;\n  q2;\n  q3;\n"
+        '  q0 -- q1 [label="1"];\n'
+        '  q1 -- q3 [label="1"];\n'
+        "}\n")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[2]; ccx q[0],q[1],q[0];")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -38,7 +39,7 @@ from fixtures import (
 )
 from helpers import (brute_force_min_cut, random_circuit, reference_closure,
                      reference_dependency_pairs, reference_gate_costs,
-                     reference_kl_cut_plan)
+                     reference_kl_cut_plan, reference_op_graph)
 
 
 def random_weighted_graph(rng, n):
@@ -276,19 +277,28 @@ def test_greedy_iterations_reduce_total_cost():
 
 
 def test_greedy_runtime_scales_linearly():
-    def timed(num_gates):
+    # The two sizes' samples alternate, and each sample times enough
+    # back-to-back calls to last about 20 ms or more, so one fast burst of
+    # the host cannot set the minimum of only one side.
+    def ir(num_gates):
         rng = random.Random(1)
-        c = random_circuit(rng, 20, num_gates, two_qubit_prob=1.0)
-        vc = from_circuit(c)
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
+        return from_circuit(random_circuit(rng, 20, num_gates,
+                                           two_qubit_prob=1.0))
+
+    def per_call(vc, calls):
+        t0 = time.perf_counter()
+        for _ in range(calls):
             gate_costs(vc)
-            best = min(best, time.perf_counter() - t0)
-        return best
+        return (time.perf_counter() - t0) / calls
 
     for base in (1000, 10000):
-        ratio = timed(2 * base) / timed(base)
+        small, large = ir(base), ir(2 * base)
+        calls = max(1, math.ceil(0.02 / per_call(small, 1)))
+        best = [float("inf"), float("inf")]
+        for _ in range(5):
+            best[0] = min(best[0], per_call(small, calls))
+            best[1] = min(best[1], per_call(large, calls))
+        ratio = best[1] / best[0]
         assert ratio <= 3.0, f"doubling {base} gates scaled by {ratio:.2f}"
 
 
@@ -421,7 +431,7 @@ def test_pass_determinism_per_seed():
     b = run_pipeline(vc, cfg(4, 3, seed=9))
     assert sorted(a.virtual_gates) == sorted(b.virtual_gates)
     assert a.instructions == b.instructions
-    assert a.wire_hosts == b.wire_hosts
+    assert a.wire_of == b.wire_of
 
 
 def test_pass_config_validation():
@@ -516,10 +526,11 @@ def _random_streams(rng):
     yield n, list(vc.instructions)
     for _ in range(3):
         pairs = []
-        for w_t in sorted(vc.wire_hosts):
+        live = sorted(set(vc.wire_of.values()))
+        for w_t in live:
             blocked = {w for i in reference_closure(vc.instructions, w_t)
                        for w in element_wires(vc.instructions[i])}
-            pairs.extend((w_t, w_s) for w_s in sorted(vc.wire_hosts)
+            pairs.extend((w_t, w_s) for w_s in live
                          if w_s != w_t and w_s not in blocked)
         if not pairs:
             return
@@ -547,9 +558,9 @@ def test_wire_closure_and_masks_match_reference():
 
 
 def test_stream_dependencies_and_costs_match_graph_reference():
-    # The passes read dependencies off the stream, never off the maintained
-    # operation graph: both must agree on fresh IRs, after virtualizations
-    # and after qubit-reuse merges have reordered the stream.
+    # The passes read dependencies off the stream; an incrementally
+    # maintained operation graph must agree on fresh IRs, after
+    # virtualizations and after qubit-reuse merges have reordered the stream.
     rng = random.Random(1010)
     seen = {"fresh": 0, "virtual": 0, "merged": 0}
     for _ in range(150):
@@ -567,12 +578,13 @@ def test_stream_dependencies_and_costs_match_graph_reference():
                                           0, seed=rng.randrange(100)))
         except WidthUnreachableError:
             merged = vc
-        if len(merged.wire_hosts) < n:
+        if len(set(merged.wire_of.values())) < n:
             irs.append(("merged", merged))
         for label, ir in irs:
+            op_graph = reference_op_graph(ir)
             assert (qubit_dependencies(ir)
-                    == reference_dependency_pairs(ir.op_graph, ir.gate_qubits))
-            assert gate_costs(ir) == reference_gate_costs(ir)
+                    == reference_dependency_pairs(op_graph, ir.gate_qubits))
+            assert gate_costs(ir) == reference_gate_costs(ir, op_graph)
             seen[label] += 1
     assert seen["merged"] >= 80, seen
 

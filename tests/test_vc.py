@@ -4,13 +4,15 @@ import networkx as nx
 import pytest
 
 from gatevm.circuit import Circuit, instr
-from gatevm.passes import PassConfig, WidthUnreachableError, _merge_wires, run_pipeline
+from gatevm.passes import (PassConfig, WidthUnreachableError, _merge_wires,
+                           reuse_qubits, run_pipeline)
 from gatevm.vc import (
     Gate2,
     VcError,
     VirtualSide,
     from_circuit,
     op_graph_dot,
+    operation_graph,
     qubit_dependencies,
     qubit_graph_dot,
     to_circuit,
@@ -19,7 +21,7 @@ from gatevm.vc import (
 )
 
 from fixtures import dep_showcase_circuit, two_cluster_circuit, TWO_CLUSTER_CUT_EDGES
-from helpers import closure_dependencies, random_circuit
+from helpers import closure_dependencies, random_circuit, reference_op_graph
 
 
 def bell_vc():
@@ -50,8 +52,8 @@ def test_from_circuit_bell():
     vc = bell_vc()
     assert [f.qubits for f in vc.fragments] == [(0, 1)]
     assert vc.qubit_graph[0][1]["weight"] == 1
-    assert list(vc.op_graph.nodes) == [0]
-    assert vc.op_graph.number_of_edges() == 0
+    assert list(operation_graph(vc).nodes) == [0]
+    assert operation_graph(vc).number_of_edges() == 0
 
 
 def test_from_circuit_two_cluster_cut_edges():
@@ -65,14 +67,14 @@ def test_from_circuit_two_cluster_cut_edges():
 def test_from_circuit_no_two_qubit_gates():
     vc = from_circuit(Circuit(3, [instr("h", 0), instr("x", 2)]))
     assert vc.qubit_graph.number_of_edges() == 0
-    assert vc.op_graph.number_of_nodes() == 0
+    assert operation_graph(vc).number_of_nodes() == 0
     assert [f.qubits for f in vc.fragments] == [(0,), (1,), (2,)]
 
 
 def test_from_circuit_builds_op_graph_wire_edges():
     c = Circuit(3, [instr("cx", 0, 1), instr("cx", 1, 2), instr("cx", 0, 1)])
     vc = from_circuit(c)
-    edges = {(u, v, k) for u, v, k in vc.op_graph.edges(keys=True)}
+    edges = {(u, v, k) for u, v, k in operation_graph(vc).edges(keys=True)}
     assert edges == {(0, 1, 1), (1, 2, 1), (0, 2, 0)}
 
 
@@ -120,7 +122,7 @@ def test_virt_gate_relinks_wire_dependencies():
     vc = from_circuit(c)
     virt_gate(vc, 1)
     # gate 1 (on the q1 wire between gates 0 and 2) is re-linked through
-    assert set(vc.op_graph.edges(keys=True)) == {(0, 2, 0), (0, 2, 1)}
+    assert set(operation_graph(vc).edges(keys=True)) == {(0, 2, 0), (0, 2, 1)}
 
 
 def test_virt_gate_errors():
@@ -138,7 +140,7 @@ def test_virt_between_virtualizes_all_gates_on_pair():
     virt_between(vc, 0, 1)
     assert len(vc.virtual_gates) == 3
     assert not vc.qubit_graph.has_edge(0, 1)
-    assert vc.op_graph.number_of_nodes() == 0
+    assert operation_graph(vc).number_of_nodes() == 0
 
 
 def test_virt_between_requires_edge():
@@ -179,7 +181,7 @@ def test_gate_count_conserved_and_weight_sum_invariant():
             assert vc.num_real_gates() + len(vc.virtual_gates) == total
             weight_sum = sum(w for _, _, w in vc.qubit_graph.edges(data="weight"))
             assert weight_sum == vc.num_real_gates()
-            assert nx.is_directed_acyclic_graph(vc.op_graph)
+            assert nx.is_directed_acyclic_graph(operation_graph(vc))
             assert [f.qubits for f in vc.fragments] == union_find_fragments(vc)
 
 
@@ -231,6 +233,51 @@ def test_to_circuit_round_trip():
         to_circuit(vc)
 
 
+def test_operation_graph_matches_incremental_reference():
+    # The graph derived from the stream equals the incrementally maintained
+    # reference (built in gate-id order, relinked per virtual gate), keys
+    # and edge data included, whatever the passes did to the stream.
+    def state(g):
+        return (sorted(g.nodes(data=True)),
+                sorted(g.edges(keys=True, data=True)))
+
+    rng = random.Random(2718)
+    seen = {"fresh": 0, "virtual": 0, "merged": 0, "pipeline": 0}
+    for trial in range(340):
+        n = rng.randint(3, 8)
+        c = random_circuit(rng, n, rng.randint(2, 4 * n),
+                           two_qubit_prob=rng.uniform(0.3, 0.8))
+        vc = from_circuit(c)
+        irs = [("fresh", vc)]
+        virtual = vc.copy()
+        gids = sorted(virtual.gate_qubits)
+        k = min(len(gids), rng.randint(1, max(1, len(gids) // 2)))
+        for gid in rng.sample(gids, k):
+            virt_gate(virtual, gid)
+        irs.append(("virtual", virtual))
+        try:
+            merged = reuse_qubits(virtual, PassConfig(
+                max_fragment_size=max(1, virtual.max_fragment_width() - 1),
+                budget=0, seed=trial))
+            if len(set(merged.wire_of.values())) < n:
+                irs.append(("merged", merged))
+        except WidthUnreachableError:
+            pass
+        order = rng.choice([("cc", "dr", "qr"), ("dr", "cc", "qr"),
+                            ("qr", "cc"), ("dr", "qr")])
+        try:
+            irs.append(("pipeline", run_pipeline(vc, PassConfig(
+                max_fragment_size=rng.randint(2, n - 1),
+                budget=rng.randint(0, 3), seed=trial), order)))
+        except WidthUnreachableError:
+            pass
+        for label, ir in irs:
+            assert state(operation_graph(ir)) == state(reference_op_graph(ir))
+            seen[label] += 1
+    assert sum(seen.values()) >= 1000, seen
+    assert min(seen.values()) >= 100, seen
+
+
 def test_dot_dumps():
     vc = from_circuit(two_cluster_circuit())
     op_dot = op_graph_dot(vc)
@@ -243,15 +290,14 @@ def test_dot_dumps():
 # copies
 
 def snapshot(vc):
-    """Every field by value, with both graphs' node, neighbour and edge-data
-    order."""
+    """Every field by value, with the qubit graph's node, neighbour and
+    edge-data order, and the derived operation graph's DOT text."""
     def graph(g):
         return [(u, dict(g.nodes[u]), [(v, repr(d)) for v, d in nbrs.items()])
                 for u, nbrs in g.adjacency()]
     return (vc.num_qubits, vc.num_clbits, vc.name, list(vc.instructions),
-            dict(vc.gate_qubits), dict(vc.virtual_gates), list(vc.gate_order),
-            dict(vc.wire_of), {w: list(q) for w, q in vc.wire_hosts.items()},
-            graph(vc.op_graph), graph(vc.qubit_graph))
+            dict(vc.gate_qubits), dict(vc.virtual_gates), dict(vc.wire_of),
+            op_graph_dot(vc), graph(vc.qubit_graph))
 
 
 def _cut_showcase():
@@ -265,9 +311,8 @@ def test_mutating_a_copy_leaves_the_original_unchanged():
     before = snapshot(vc)
     for mutate in (
             lambda c: virt_gate(c, 3),
-            lambda c: _merge_wires(c, 0, 2),  # extends wire_hosts, rewrites wire_of
-            lambda c: c.qubit_graph.edges[0, 1].update(weight=99),
-            lambda c: c.op_graph.remove_node(2)):
+            lambda c: _merge_wires(c, 0, 2),  # reorders the stream, rewrites wire_of
+            lambda c: c.qubit_graph.edges[0, 1].update(weight=99)):
         copy = vc.copy()
         mutate(copy)
         assert snapshot(copy) != before
@@ -287,7 +332,7 @@ def test_run_pipeline_leaves_its_input_unchanged():
             out = run_pipeline(vc, cfg)
         except WidthUnreachableError:
             continue
-        merged += len(out.wire_hosts) < n
+        merged += len(set(out.wire_of.values())) < n
         assert snapshot(vc) == before
     assert merged >= 5
 
@@ -298,11 +343,11 @@ def test_copy_shares_stream_elements_but_not_containers_or_graphs():
     assert b.instructions == a.instructions
     assert all(x is y for x, y in zip(a.instructions, b.instructions))
     assert b.virtual_gates[1] is a.virtual_gates[1]
-    for name in ("instructions", "gate_qubits", "virtual_gates", "gate_order",
-                 "wire_of", "wire_hosts", "op_graph", "qubit_graph"):
+    for name in ("instructions", "gate_qubits", "virtual_gates", "wire_of",
+                 "qubit_graph"):
         assert getattr(b, name) is not getattr(a, name), name
-    assert all(b.wire_hosts[w] is not a.wire_hosts[w] for w in a.wire_hosts)
     u, v = next(iter(a.qubit_graph.edges))
     assert b.qubit_graph[u][v] is not a.qubit_graph[u][v]
     assert b.qubit_graph[u][v] == a.qubit_graph[u][v]
-    assert sorted(b.op_graph.edges(keys=True)) == sorted(a.op_graph.edges(keys=True))
+    assert (sorted(operation_graph(b).edges(keys=True))
+            == sorted(operation_graph(a).edges(keys=True)))
