@@ -16,7 +16,8 @@ from pathlib import Path
 from .bench import BenchmarkSpec, FAMILIES, generate_benchmark
 from .codegen import generate, program_from_json, program_to_json
 from .harness import experiment, report_to_csv, report_to_json, resolve_fleet
-from .passes import PassConfig, WidthUnreachableError, run_pipeline
+from .passes import (PassConfig, WidthUnreachableError, WireSplitError,
+                     run_pipeline)
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .runtime import run_program, schedule
 from .sim import MAX_QUBITS, linf_distance, run_exact
@@ -239,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WidthUnreachableError as exc:
+    except (WidthUnreachableError, WireSplitError) as exc:
         sys.stderr.write(f"pipeline failure: {exc}\n")
         return EXIT_PIPELINE_FAILURE
     except (QasmError, ValueError, RuntimeError, OSError) as exc:

@@ -142,7 +142,9 @@ def generate(vc: VirtualCircuit) -> CompiledProgram:
     local_wire: dict[int, int] = {}
     for frag in fragments:
         for i, w in enumerate(frag.wires):
-            wire_to_frag[w] = frag.index
+            if wire_to_frag.setdefault(w, frag.index) != frag.index:
+                raise CodegenError(f"fragments {wire_to_frag[w]} and "
+                                   f"{frag.index} share wire {w}")
             local_wire[w] = i
 
     elements: list[list[Instruction | Placeholder]] = [[] for _ in fragments]

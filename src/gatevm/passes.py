@@ -37,6 +37,11 @@ class WidthUnreachableError(PassError):
     """Qubit reuse cannot bring a fragment down to the target width."""
 
 
+class WireSplitError(PassError):
+    """A pass after qubit reuse put qubits that share a wire into different
+    fragments, so that no fragment circuit could own the wire."""
+
+
 @dataclass(frozen=True)
 class PassConfig:
     """Shared pass parameters: target width, virtualization budget, RNG seed."""
@@ -388,16 +393,34 @@ def reuse_qubits(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
             frag = out.fragments[frag_index]
             if frag.width <= cfg.max_fragment_size:
                 break
-            dep = _wire_dependencies(out.instructions)
-            candidates = [(w_t, w_s) for w_t in frag.wires
-                          for w_s in frag.wires
-                          if w_s != w_t and not dep.get(w_t, 0) & (1 << w_s)]
-            if not candidates:
+            pair = _reuse_pair(frag.wires, _wire_dependencies(out.instructions),
+                               rng)
+            if pair is None:
                 raise WidthUnreachableError(
                     f"fragment {frag.index} stuck at width {frag.width} > "
                     f"{cfg.max_fragment_size}: no reusable wire pair")
-            _merge_wires(out, *rng.choice(candidates))
+            _merge_wires(out, *pair)
     return out
+
+
+def _reuse_pair(wires: tuple[int, ...], dep: dict[int, int],
+                rng: random.Random) -> tuple[int, int] | None:
+    """A seeded choice among the reusable pairs (w_t, w_s) of ``wires``,
+    listed w_t-major in wire order, or None if there is none. Counts each
+    w_t's partners by popcount instead of listing the O(width^2) pairs, and
+    draws as ``rng.choice`` of that list does."""
+    every = sum(1 << w for w in wires)
+    free = [every & ~dep.get(w_t, 0) & ~(1 << w_t) for w_t in wires]
+    counts = [mask.bit_count() for mask in free]
+    if not any(counts):
+        return None
+    pick = rng.choice(range(sum(counts)))
+    for w_t, mask, count in zip(wires, free, counts):
+        if pick < count:
+            for _ in range(pick):
+                mask &= mask - 1
+            return w_t, (mask & -mask).bit_length() - 1
+        pick -= count
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +437,8 @@ def run_pipeline(vc: VirtualCircuit, cfg: PassConfig,
     the reuser needs none. A reuse failure propagates as the pipeline
     failure signal. Entries of ``passes`` may also be custom callables with
     the pass signature ``(vc, cfg) -> vc``; any gates they virtualize count
-    against the shared budget too.
+    against the shared budget too. Raises :class:`WireSplitError` when a
+    pass after ``qr`` splits a reused wire between fragments.
     """
     budget = cfg.budget
     out = vc
@@ -433,4 +457,18 @@ def run_pipeline(vc: VirtualCircuit, cfg: PassConfig,
         before = len(out.virtual_gates)
         out = fn(out, stage_cfg)
         budget -= len(out.virtual_gates) - before
+        if len(out.virtual_gates) > before:
+            _check_wires(out, name)
     return out
+
+
+def _check_wires(vc: VirtualCircuit, name) -> None:
+    """Refuse an IR in which two fragments share a wire."""
+    owner: dict[int, int] = {}
+    for frag in vc.fragments:
+        for w in frag.wires:
+            if owner.setdefault(w, frag.index) != frag.index:
+                raise WireSplitError(
+                    f"pass {getattr(name, '__name__', name)!r} split reused "
+                    f"wire {w} between fragments {owner[w]} and {frag.index}; "
+                    "run qr after the passes that virtualize gates")

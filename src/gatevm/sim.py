@@ -1,12 +1,17 @@
 """Statevector execution engine for circuit fragments.
 
 One run evolves many instances of a circuit: a :class:`Slot` step applies
-an action chosen by the instance, every other step acts on all alike. The
-rows of one amplitude array are (instance, branch) pairs, so each gate is
-one call on the whole batch; a mid-circuit measurement or reset replaces
-each affected row by its outcome-0 row and then its outcome-1 row. Exact
-mode returns a signed outcome distribution per instance; sampled mode draws
-seeded shots per instance from the exact joint branch distribution, which
+an action chosen by the instance, every other step acts on all alike.
+Instances that give every slot the same action are one leaf and run once.
+The leaves of a batch share a trie: they start in one node, and a node
+forks where its leaves take different actions at a slot or where a
+measurement is terminal for some of them only, each child copying its
+parent's rows. The rows of one amplitude array are (node, branch) pairs,
+so each gate is one call on the whole batch; a mid-circuit measurement or
+reset replaces each affected row by its outcome-0 row and then its
+outcome-1 row. Exact mode returns a signed outcome distribution per
+instance, shared by the instances of a leaf; sampled mode draws seeded
+shots per instance from its leaf's exact joint branch distribution, which
 is statistically identical to per-shot collapse. Results hold int64 key
 arrays with their values, and dict views for the edge. Also hosts the
 Choi-matrix channel oracle that validates quasi-probability gate
@@ -17,6 +22,7 @@ Every run owns its state; there is no shared mutable state between runs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,8 +33,8 @@ from .circuit import Circuit, GATES_1Q, GATES_2Q
 from .decomp import GateDecomposition, LocalAction
 
 MAX_QUBITS = 26
-# Amplitudes a batch of instances aims to hold; see run_batch.
-BATCH_AMPLITUDES = 1 << 14
+# Amplitudes a batch of leaves aims to hold; see run_batch.
+BATCH_AMPLITUDES = 1 << 15
 # Amplitudes one instance's branches may hold (1 GiB of complex128).
 MAX_BRANCH_AMPLITUDES = 1 << 26
 _PRUNE_NORM_SQ = 1e-30
@@ -188,13 +194,13 @@ def two_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
 
 
 def _apply(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
-           inst: np.ndarray) -> np.ndarray:
+           node: np.ndarray) -> np.ndarray:
     """Apply a gate to each row of ``amps`` (rows, 2^n) bit for bit as a run
-    of the row's instance alone does, which makes one BLAS product over that
-    instance's rows (``inst`` names each row's instance, nondecreasing).
+    of the row's node alone does, which makes one BLAS product over that
+    node's rows (``node`` names each row's node, nondecreasing).
     Rows giving the product four or more columns each come out the same in
-    one product over all rows; narrower ones get a product per instance,
-    batched over instances with equal row counts. Two-qubit matrices index
+    one product over all rows; narrower ones get a product per node,
+    batched over nodes with equal row counts. Two-qubit matrices index
     bit(first) + 2 * bit(second)."""
     k, d, width = len(qubits), len(mat), (1 << n) >> len(qubits)
     axes = [n - q for q in reversed(qubits)]
@@ -205,8 +211,8 @@ def _apply(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
         return np.moveaxis(out, list(range(k)), axes).reshape(amps.shape)
     t = np.moveaxis(t, axes, list(range(1, k + 1)))
     rows, out = t.reshape(len(amps), d, width), np.empty(t.shape, dtype=complex)
-    starts = np.flatnonzero(np.diff(inst, prepend=-1))
-    sizes = np.diff(np.append(starts, len(inst)))
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    sizes = np.diff(np.append(starts, len(node)))
     for size in np.unique(sizes).tolist():
         group = (starts[sizes == size][:, None] + np.arange(size)).ravel()
         block = rows[group].reshape(-1, size, d, width).transpose(0, 2, 1, 3)
@@ -222,7 +228,12 @@ def _apply(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
 @dataclass(frozen=True)
 class Slot:
     """A step whose action depends on the instance: instance ``i`` of a run
-    applies ``actions[(i // stride) % len(actions)]`` to ``qubit``."""
+    applies ``actions[(i // stride) % len(actions)]`` to ``qubit``.
+
+    Slots of one stride belong to one gate, whose digit of ``i`` that is.
+    The gates' strides number the instances in mixed radix: the smallest is
+    1 and each next one is the previous times its number of actions.
+    """
 
     qubit: int
     actions: tuple[LocalAction, ...]
@@ -241,16 +252,54 @@ class Slot:
 
 @dataclass
 class _Evolution:
-    # One row per live (instance, branch) pair, instance-major and in branch
-    # order within an instance. A row's amplitudes are unnormalized: its
-    # squared norm is the branch probability.
+    # A node is the set of leaves (``leaf`` maps each to its node) that have
+    # behaved alike at every step so far. One row per live (node, branch)
+    # pair, node-major and in branch order within a node: a node's rows are
+    # exactly the rows of a run of any of its leaves alone. A row's
+    # amplitudes are unnormalized: its squared norm is the branch probability.
     amps: np.ndarray       # (rows, 2^n) complex
-    inst: np.ndarray       # (rows,) instance within the batch
+    node: np.ndarray       # (rows,) node of the row
     signs: np.ndarray      # (rows,) +1 or -1
     recorded: np.ndarray   # (rows,) bits fixed mid-circuit
-    reads: np.ndarray      # (instances,) qubits read at the end, as bits
-    sign_mask: np.ndarray  # (instances,) qubits whose final bit flips the sign
-    peak: int = 1          # most rows one instance has held
+    reads: np.ndarray      # (nodes,) qubits read at the end, as bits
+    sign_mask: np.ndarray  # (nodes,) qubits whose final bit flips the sign
+    leaf: np.ndarray       # (leaves,) node of the leaf
+    peak: int = 1          # most rows one node has held
+
+
+def _leaves(steps: list, count: int):
+    """The classes of instances ``0 .. count-1`` that give every slot the
+    same action, as (representative instance, instance ids) pairs.
+
+    A gate's digits fall into classes by the actions they give its slots; a
+    leaf takes one class per gate. Gates are ordered by their first slot in
+    the stream and leaves come lexicographically, so that consecutive leaves
+    share the longest prefixes. Digits above the slots' own form one class.
+    """
+    gates: dict[int, list[Slot]] = {}
+    for st in steps:
+        if st.kind == "slot":
+            gates.setdefault(st.stride, []).append(st)
+    place = 1
+    for stride in sorted(gates):
+        radix = len(gates[stride][0].actions)
+        if stride != place or any(len(s.actions) != radix for s in gates[stride]):
+            raise SimulationError("slot strides do not number the instances")
+        place *= radix
+    if count % place:
+        raise SimulationError(f"{count} instances do not fill the slots' "
+                              f"{place} digit combinations")
+    classes = []
+    for stride, slots in gates.items():
+        by_actions: dict[tuple, list[int]] = {}
+        for d in range(len(slots[0].actions)):
+            by_actions.setdefault(tuple(s.actions[d] for s in slots),
+                                  []).append(d * stride)
+        classes.append(list(by_actions.values()))
+    classes.append([list(range(0, count, place))])
+    for leaf in itertools.product(*classes):
+        ids = [sum(parts) for parts in itertools.product(*leaf)]
+        yield ids[0], ids
 
 
 def _terminal(steps: list, ids: np.ndarray) -> list:
@@ -272,14 +321,37 @@ def _terminal(steps: list, ids: np.ndarray) -> list:
     return out
 
 
-def _split(ev: _Evolution, q: int, split_inst: np.ndarray, sign: bool = False,
+def _fork(ev: _Evolution, key: np.ndarray) -> np.ndarray:
+    """Split each node into one child per value of ``key`` (small
+    nonnegative ints, one per leaf) among its leaves, in (parent, key)
+    order; a child copies its parent's rows in their order. Returns each
+    node's key."""
+    if (key == key[0]).all():
+        return np.full(len(ev.reads), key[0])
+    wide = int(key.max()) + 1
+    pairs, ev.leaf = np.unique(ev.leaf * wide + key, return_inverse=True)
+    parent = pairs // wide
+    if len(parent) > len(ev.reads):
+        starts = np.searchsorted(ev.node, np.arange(len(ev.reads) + 1))
+        sizes = np.diff(starts)[parent]
+        ends = np.cumsum(sizes)
+        rows = np.arange(ends[-1]) + np.repeat(starts[parent] - ends + sizes,
+                                               sizes)
+        ev.amps, ev.signs = ev.amps[rows], ev.signs[rows]
+        ev.recorded = ev.recorded[rows]
+        ev.node = np.repeat(np.arange(len(parent)), sizes)
+        ev.reads, ev.sign_mask = ev.reads[parent], ev.sign_mask[parent]
+    return pairs % wide
+
+
+def _split(ev: _Evolution, q: int, split_node: np.ndarray, sign: bool = False,
            clbit: int | None = None, reset: bool = False) -> None:
-    """Branch the rows of the instances in ``split_inst`` on qubit ``q``:
-    each becomes its outcome-0 row and then its outcome-1 row, dropping rows
-    of squared norm below ``_PRUNE_NORM_SQ``; other rows stay. A reset moves
+    """Branch the rows of the nodes in ``split_node`` on qubit ``q``: each
+    becomes its outcome-0 row and then its outcome-1 row, dropping rows of
+    squared norm below ``_PRUNE_NORM_SQ``; other rows stay. A reset moves
     the outcome-1 amplitudes to the 0 half. Refuses, before allocating, to
-    give one instance more than ``MAX_BRANCH_AMPLITUDES`` amplitudes."""
-    cut = split_inst[ev.inst]
+    give one node more than ``MAX_BRANCH_AMPLITUDES`` amplitudes."""
+    cut = split_node[ev.node]
     if not cut.any():
         return
     rows, size = ev.amps.shape
@@ -287,7 +359,7 @@ def _split(ev: _Evolution, q: int, split_inst: np.ndarray, sign: bool = False,
     keep = (np.abs(halves) ** 2).sum(axis=(1, 3)) >= _PRUNE_NORM_SQ
     keep[~cut] = (True, False)
     parent, outcome = np.nonzero(keep)
-    peak = int(np.bincount(ev.inst[parent]).max())
+    peak = int(np.bincount(ev.node[parent]).max())
     if peak * size > MAX_BRANCH_AMPLITUDES:
         raise BranchOverflowError(
             f"{peak} branches of {size} amplitudes exceed the limit of "
@@ -298,7 +370,7 @@ def _split(ev: _Evolution, q: int, split_inst: np.ndarray, sign: bool = False,
         halves[one, :, 0] = halves[one, :, 1]
     halves[r, :, 1 if reset else 1 - outcome[r]] = 0
     ev.amps = halves.reshape(len(parent), size)
-    ev.inst, ev.recorded = ev.inst[parent], ev.recorded[parent]
+    ev.node, ev.recorded = ev.node[parent], ev.recorded[parent]
     ev.signs = ev.signs[parent]
     if sign:
         ev.signs = np.where(one, -ev.signs, ev.signs)
@@ -308,9 +380,9 @@ def _split(ev: _Evolution, q: int, split_inst: np.ndarray, sign: bool = False,
 
 def _apply_slot(ev: _Evolution, slot: Slot, choice: np.ndarray,
                 term: np.ndarray, n: int) -> None:
-    """Apply each instance's action (``choice``; ``term`` marks instances
-    for which the slot is its qubit's last use). Position by position, the
-    rows whose actions hold the same operation there take it at once."""
+    """Apply each node's action (``choice``; ``term`` marks nodes for which
+    the slot is its qubit's last use). Position by position, the rows whose
+    actions hold the same operation there take it at once."""
     acts, q = slot.actions, slot.qubit
     for o in range(max(len(a.ops) for a in acts)):
         for op in dict.fromkeys(a.ops[o] for a in acts if len(a.ops) > o):
@@ -322,33 +394,43 @@ def _apply_slot(ev: _Evolution, slot: Slot, choice: np.ndarray,
                 _split(ev, q, picked & ~ends, sign=True)
             elif picked.all():
                 ev.amps = _apply(ev.amps, gate_matrix(op.kind, op.angle), (q,),
-                                 n, ev.inst)
+                                 n, ev.node)
             else:
-                rows = np.flatnonzero(picked[ev.inst])
+                rows = np.flatnonzero(picked[ev.node])
                 ev.amps[rows] = _apply(ev.amps[rows], gate_matrix(op.kind, op.angle),
-                                       (q,), n, ev.inst[rows])
+                                       (q,), n, ev.node[rows])
 
 
-def _evolve(c: Circuit, ids: np.ndarray) -> _Evolution:
-    """Run instances ``ids`` of ``c``, one row each to start with."""
-    n, count = c.num_qubits, len(ids)
-    amps = np.zeros((count, 1 << n), dtype=complex)
-    amps[:, 0] = 1.0
-    zeros = np.zeros(count, dtype=np.int64)
-    ev = _Evolution(amps, np.arange(count), zeros + 1, zeros, zeros.copy(),
-                    zeros.copy())
-    for ins, term in zip(c.instructions, _terminal(c.instructions, ids)):
+def _evolve(c: Circuit, reps: np.ndarray) -> _Evolution:
+    """Run the leaves whose representative instances are ``reps``: one root
+    node with one row to start with, forked where the leaves differ."""
+    n = c.num_qubits
+    amps = np.zeros((1, 1 << n), dtype=complex)
+    amps[0, 0] = 1.0
+    zero = np.zeros(1, dtype=np.int64)
+    ev = _Evolution(amps, zero, zero + 1, zero, zero.copy(), zero.copy(),
+                    np.zeros(len(reps), dtype=np.int64))
+    for ins, term in zip(c.instructions, _terminal(c.instructions, reps)):
         if ins.kind in GATES_1Q:
             mat = gate_matrix(ins.kind, ins.angle)
-            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.inst)
+            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.node)
         elif ins.kind in GATES_2Q:
             mat = two_qubit_matrix(ins.kind, ins.angle)
-            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.inst)
+            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.node)
         elif ins.kind == "slot":
-            _apply_slot(ev, ins, ins.choices(ids), term, n)
+            # Leaves fork by distinct action, and by terminal flag where
+            # the action ends in a measurement.
+            acts = ins.actions
+            same = np.array([acts.index(a) for a in acts])
+            ends = np.array([bool(a.ops) and a.ops[-1].kind == "measure"
+                             for a in acts])
+            choice = same[ins.choices(reps)]
+            key = _fork(ev, 2 * choice + (term & ends[choice]))
+            _apply_slot(ev, ins, key >> 1, (key & 1) == 1, n)
         elif ins.kind == "measure":
             # A terminal measurement reads its bit at finalization instead of
             # branching, so whole-register readout stays linear.
+            term = _fork(ev, term.astype(np.int64)) == 1
             q = ins.qubits[0]
             if ins.clbit is not None:
                 ev.reads[term] |= 1 << q
@@ -356,34 +438,40 @@ def _evolve(c: Circuit, ids: np.ndarray) -> _Evolution:
                 ev.sign_mask[term] |= 1 << q
             _split(ev, q, ~term, ins.sign, ins.clbit)
         elif ins.kind == "reset":
-            _split(ev, ins.qubits[0], np.ones(count, dtype=bool), reset=True)
+            _split(ev, ins.qubits[0], np.ones(len(ev.reads), dtype=bool),
+                   reset=True)
     return ev
 
 
 def _outcomes(ev: _Evolution, read_map: dict[int, int]):
-    """Instance, key, sign and probability of every (row, basis state) pair
+    """Node, key, sign and probability of every (row, basis state) pair
     with nonzero probability, row by row."""
     probs = np.abs(ev.amps) ** 2
     row, idx = np.nonzero(probs > _PRUNE_NORM_SQ)
-    inst, keys = ev.inst[row], ev.recorded[row]
-    reads = ev.reads[inst] & idx
+    node, keys = ev.node[row], ev.recorded[row]
+    reads = ev.reads[node] & idx
     for q, c in read_map.items():
         keys |= ((reads >> q) & 1) << c
-    flips = np.bitwise_count(idx & ev.sign_mask[inst]) & 1
+    flips = np.bitwise_count(idx & ev.sign_mask[node]) & 1
     signs = np.where(flips == 1, -ev.signs[row], ev.signs[row])
-    return inst, keys, signs, probs[row, idx]
+    return node, keys, signs, probs[row, idx]
 
 
 def run_batch(c: Circuit, count: int = 1, shots: int | None = None,
               seeds: list[int] | None = None) -> list:
-    """Run ``count`` instances of a circuit whose instructions may include
-    :class:`Slot` steps; every other step acts on all instances alike.
+    """Run instances ``0 .. count-1`` of a circuit whose instructions may
+    include :class:`Slot` steps; every other step acts on all alike.
 
-    Instances run in batches: one instance first, then as many as fit
-    ``BATCH_AMPLITUDES`` at the most rows an instance has reached so far.
-    Exact mode (``shots`` None) gives a SignedDistribution per instance;
-    sampled mode gives ShotCounts per instance, instance ``i`` drawn with
-    ``seeds[i]`` over its own (branch, basis state) pairs in row order.
+    Instances that give every slot the same action form a leaf and are run
+    once (see :func:`_leaves`). Leaves run in batches: one leaf first, then
+    as many as fit ``BATCH_AMPLITUDES`` at the most rows a leaf has reached
+    so far. A batch's rows are (node, branch) pairs: all its leaves start in
+    one node, which forks at a slot where its leaves take different actions
+    and at a measurement that is terminal for some of them only. Exact mode
+    (``shots`` None) gives a SignedDistribution per instance, shared by the
+    instances of a leaf; sampled mode gives ShotCounts per instance,
+    instance ``i`` drawn with ``seeds[i]`` over its leaf's (branch, basis
+    state) pairs in row order. Results are in instance order.
     """
     c.validate()
     n = c.num_qubits
@@ -394,38 +482,48 @@ def run_batch(c: Circuit, count: int = 1, shots: int | None = None,
     read_map = {ins.qubits[0]: ins.clbit for ins in c.instructions
                 if ins.kind == "measure" and ins.clbit is not None}
     num_bits = c.num_clbits if read_map else n
-    out: list = []
-    first = peak = 0
-    while first < count:
-        # Instance and key share one int64 below.
-        size = min(count - first, 1 << max(0, 62 - num_bits),
-                   max(1, BATCH_AMPLITUDES // (peak << n)) if peak else 1)
-        ev = _evolve(c, np.arange(first, first + size))
+    mask = (1 << num_bits) - 1
+    leaves = _leaves(c.instructions, count)
+    out: list = [None] * count
+    peak = 0
+    # Node and key share one int64 below.
+    while batch := list(itertools.islice(leaves, min(
+            1 << max(0, 62 - num_bits),
+            max(1, BATCH_AMPLITUDES // (peak << n)) if peak else 1))):
+        ev = _evolve(c, np.array([rep for rep, _ in batch]))
         peak = max(peak, ev.peak)
         if not read_map:
             ev.reads[:] = (1 << n) - 1
-        inst, keys, signs, probs = _outcomes(
+        node, keys, signs, probs = _outcomes(
             ev, read_map or {q: q for q in range(n)})
-        if shots is not None:
-            parts = np.split(probs, np.searchsorted(inst, np.arange(1, size)))
-            probs = np.concatenate([
-                np.random.default_rng(seeds[first + i]).multinomial(
-                    shots, p / p.sum()) for i, p in enumerate(parts)])
-        # bincount adds in input order, as a running sum per key would.
-        pairs, index = np.unique((inst << num_bits) | keys, return_inverse=True)
-        sums = np.bincount(index, weights=signs * probs)
-        hits = np.bincount(index, weights=probs)
-        keep = np.abs(sums) >= _OUTPUT_EPS if shots is None else hits > 0
-        pairs, sums, hits = pairs[keep], sums[keep], hits[keep]
-        keys = pairs & ((1 << num_bits) - 1)
-        edges = np.searchsorted(pairs >> num_bits, np.arange(size + 1)).tolist()
-        for a, b in zip(edges, edges[1:]):
-            out.append(
-                SignedDistribution.from_arrays(keys[a:b], sums[a:b], num_bits)
-                if shots is None else
-                ShotCounts(keys[a:b], hits[a:b].astype(np.int64),
-                           sums[a:b].astype(np.int64), shots, num_bits))
-        first += size
+        nodes = np.arange(len(ev.reads) + 1)
+        if shots is None:
+            # bincount adds in input order, as a running sum per key would.
+            pairs, index = np.unique((node << num_bits) | keys,
+                                     return_inverse=True)
+            sums = np.bincount(index, weights=signs * probs)
+            keep = np.abs(sums) >= _OUTPUT_EPS
+            pairs, sums = pairs[keep], sums[keep]
+            edges = np.searchsorted(pairs >> num_bits, nodes).tolist()
+            dists = [SignedDistribution.from_arrays(pairs[a:b] & mask,
+                                                    sums[a:b], num_bits)
+                     for a, b in zip(edges, edges[1:])]
+            for (_, ids), at in zip(batch, ev.leaf.tolist()):
+                for i in ids:
+                    out[i] = dists[at]
+            continue
+        edges = np.searchsorted(node, nodes).tolist()
+        for (_, ids), at in zip(batch, ev.leaf.tolist()):
+            a, b = edges[at], edges[at + 1]
+            drawn_keys, index = np.unique(keys[a:b], return_inverse=True)
+            p = probs[a:b] / probs[a:b].sum()
+            for i in ids:
+                drawn = np.random.default_rng(seeds[i]).multinomial(shots, p)
+                hits = np.bincount(index, drawn, len(drawn_keys))
+                sums = np.bincount(index, signs[a:b] * drawn, len(drawn_keys))
+                hit = hits > 0
+                out[i] = ShotCounts(drawn_keys[hit], hits[hit].astype(np.int64),
+                                    sums[hit].astype(np.int64), shots, num_bits)
     return out
 
 

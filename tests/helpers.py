@@ -441,6 +441,15 @@ def reference_closure(instructions: list, wire: int) -> set[int]:
     return closure
 
 
+def reference_reuse_pair(wires: tuple[int, ...], dep: dict[int, int],
+                         rng: random.Random):
+    """The seeded reuse choice over the listed reusable (w_t, w_s) pairs,
+    w_t-major in wire order, or None if there is none."""
+    candidates = [(w_t, w_s) for w_t in wires for w_s in wires
+                  if w_s != w_t and not dep.get(w_t, 0) & (1 << w_s)]
+    return rng.choice(candidates) if candidates else None
+
+
 _SELF_INVERSE = frozenset({"h", "x", "y", "z", "cx", "cz"})
 _MERGEABLE = frozenset({"rx", "ry", "rz", "rzz"})
 

@@ -163,6 +163,19 @@ def test_pipeline_failure_exit_code(tmp_path, capsys):
     assert "pipeline failure" in capsys.readouterr().err
 
 
+def test_reuse_before_cut_is_a_pipeline_failure(tmp_path, capsys):
+    path = tmp_path / "bv.qasm"
+    assert main(["bench", "--family", "bv", "--qubits", "4", "--seed", "0",
+                 "-o", str(path)]) == 0
+    out = tmp_path / "x.json"
+    code = main(["compile", str(path), "--passes", "qr,cc",
+                 "--max-fragment-size", "2", "--budget", "1", "-o", str(out)])
+    assert code == EXIT_PIPELINE_FAILURE
+    assert capsys.readouterr().err.startswith(
+        "pipeline failure: pass 'cc' split reused wire")
+    assert not out.exists()
+
+
 def test_experiment_reports_are_byte_identical(tmp_path):
     cfg = {
         "benchmarks": [{"family": "ghz", "num_qubits": 6, "seed": 0}],

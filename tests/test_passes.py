@@ -7,12 +7,15 @@ import networkx as nx
 import pytest
 
 from gatevm import passes
+from gatevm.bench import BenchmarkSpec, generate_benchmark
 from gatevm.circuit import Circuit, instr
+from gatevm.codegen import CodegenError, generate, program_to_json
 from gatevm.passes import (
     KL_RESTARTS,
     InstanceTooLargeError,
     PassConfig,
     WidthUnreachableError,
+    WireSplitError,
     cut_exact,
     cut_greedy_kl,
     gate_costs,
@@ -24,6 +27,7 @@ from gatevm.passes import (
     _closure_of_wire,
     _kl_cut_plan,
     _merge_wires,
+    _reuse_pair,
     _wire_dependencies,
 )
 from gatevm.sim import run_exact, run_sampled, total_variation
@@ -39,7 +43,8 @@ from fixtures import (
 )
 from helpers import (brute_force_min_cut, random_circuit, reference_closure,
                      reference_dependency_pairs, reference_gate_costs,
-                     reference_kl_cut_plan, reference_op_graph)
+                     reference_kl_cut_plan, reference_op_graph,
+                     reference_reuse_pair)
 
 
 def random_weighted_graph(rng, n):
@@ -555,6 +560,66 @@ def test_wire_closure_and_masks_match_reference():
                 elif getattr(x, "kind", None) in ("barrier", "reset"):
                     kinds[x.kind] += 1
     assert all(count > 20 for count in kinds.values()), kinds
+
+
+def test_reuse_pair_matches_list_reference(monkeypatch):
+    # The same pair and the same generator state as rng.choice over the
+    # listed pairs: on the wires and masks of random streams, on random
+    # masks over wide wire numbers, and as whole compiled programs.
+    rng = random.Random(77)
+    cases = []
+    for _ in range(60):
+        for n, stream in _random_streams(rng):
+            wires = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            cases.append((wires, _wire_dependencies(stream)))
+    for _ in range(300):
+        wires = tuple(sorted(rng.sample(range(64), rng.randint(1, 30))))
+        cases.append((wires, {w: rng.getrandbits(64) & rng.getrandbits(64)
+                              for w in wires}))
+    found = 0
+    for wires, dep in cases:
+        seed = rng.randrange(1 << 30)
+        a, b = random.Random(seed), random.Random(seed)
+        pair = _reuse_pair(wires, dep, a)
+        assert pair == reference_reuse_pair(wires, dep, b)
+        assert a.getstate() == b.getstate()
+        found += pair is not None
+    assert found >= 300
+
+    merged = 0  # counted once per chooser
+    for trial in range(80):
+        n = rng.randint(4, 9)
+        c = random_circuit(rng, n, rng.randint(n, 3 * n), two_qubit_prob=0.6)
+        pass_cfg = cfg(rng.randint(2, n - 1), rng.randint(0, 2), seed=trial)
+        programs = []
+        for chooser in (_reuse_pair, reference_reuse_pair):
+            monkeypatch.setattr(passes, "_reuse_pair", chooser)
+            try:
+                out = run_pipeline(from_circuit(c), pass_cfg)
+            except WidthUnreachableError as exc:
+                programs.append(str(exc))
+                continue
+            programs.append(program_to_json(generate(out)))
+            merged += out.num_qubits > len(set(out.wire_of.values()))
+        assert programs[0] == programs[1]
+    assert merged >= 20
+
+
+def test_pipeline_refuses_to_split_reused_wires():
+    # Qubit reuse puts two qubits on one wire; a later pass that virtualizes
+    # gates can put them in different fragments, which cannot share it.
+    c = generate_benchmark(BenchmarkSpec("bv", 4))
+    with pytest.raises(WireSplitError, match="pass 'cc' split reused wire"):
+        run_pipeline(from_circuit(c), cfg(2, 1), ("qr", "cc"))
+    c = generate_benchmark(BenchmarkSpec("ghz", 4))
+    with pytest.raises(WireSplitError, match="pass 'dr' split reused wire"):
+        run_pipeline(from_circuit(c), cfg(3, 1), ("qr", "dr"))
+    # The same passes run directly leave an IR that codegen refuses.
+    out = cut_greedy_kl(reuse_qubits(from_circuit(c), cfg(3, 0)), cfg(2, 1))
+    with pytest.raises(CodegenError, match="share wire"):
+        generate(out)
+    for order in (("cc", "dr", "qr"), ("dr", "qr")):
+        generate(run_pipeline(from_circuit(c), cfg(3, 1), order))
 
 
 def test_stream_dependencies_and_costs_match_graph_reference():

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,8 +311,11 @@ def test_execute_worker_count_does_not_change_results():
 
 
 def assert_execute_matches_reference(prog, mode, shots=400, seed=3):
-    got = execute(prog, mode=mode, shots=shots, seed=seed)
-    expected = reference_execute(prog, mode, shots, seed)
+    assert_results_match(execute(prog, mode=mode, shots=shots, seed=seed),
+                         reference_execute(prog, mode, shots, seed), mode)
+
+
+def assert_results_match(got, expected, mode):
     assert [len(e.distributions) for e in got.entries] == \
         [len(dists) for dists in expected]
     for entry, dists in zip(got.entries, expected):
@@ -423,16 +427,73 @@ def test_sampled_execute_pinned():
         {k: v / 1000 for k, v in counts.items()} for counts in expected]
 
 
+def internal_gate_program():
+    """Virtual cz(0, 1) stays inside fragment (0, 1), which real cx(0, 1)
+    holds together; virtual cx(1, 2) crosses to fragment (2,)."""
+    c = Circuit(3, num_clbits=3)
+    c.instructions = [
+        instr("ry", 0, angle=0.3), instr("ry", 1, angle=0.9),
+        instr("ry", 2, angle=1.3), instr("cx", 0, 1), instr("cz", 0, 1),
+        instr("cx", 1, 2), instr("rx", 1, angle=0.6),
+        instr("measure", 0, clbit=0), instr("measure", 1, clbit=1),
+        instr("measure", 2, clbit=2)]
+    return compiled(c, [1, 2])
+
+
 def test_batch_size_does_not_change_results(monkeypatch):
-    prog = sign_then_identity_program()
-    runs = []
-    for amplitudes in (1, 1 << 6, 1 << 20):
-        monkeypatch.setattr(sim, "BATCH_AMPLITUDES", amplitudes)
-        runs.append([[d.entries for d in e.distributions]
-                     for mode in ("exact", "sampled")
-                     for e in execute(prog, mode=mode, shots=500,
-                                      seed=5).entries])
-    assert runs[0] == runs[1] == runs[2]
+    # Leaves run out of instance order, in batches whose sizes follow
+    # BATCH_AMPLITUDES, and where a measurement's terminal flag depends on a
+    # later gate's action, trie nodes come in another order than the
+    # leaves; results must come back in instance order.
+    rng = random.Random(4)
+    programs = [sign_then_identity_program(), internal_gate_program()]
+    while len(programs) < 8:
+        prog = random_reuse_program(rng)
+        if prog is not None and max(len(pc.touching_gates(prog.gate_order))
+                                    for pc in prog.fragments) >= 2:
+            programs.append(prog)
+    for prog in programs:
+        expected = {mode: reference_execute(prog, mode, 500, 5)
+                    for mode in ("exact", "sampled")}
+        runs = []
+        for amplitudes in (1, 1 << 6, 1 << 20):
+            monkeypatch.setattr(sim, "BATCH_AMPLITUDES", amplitudes)
+            for mode, dists in expected.items():
+                got = execute(prog, mode=mode, shots=500, seed=5)
+                assert_results_match(got, dists, mode)
+                runs.append([[d.entries for d in e.distributions]
+                             for e in got.entries])
+        assert runs[0:2] == runs[2:4] == runs[4:6]
+
+
+def test_each_distinct_instance_evolves_once(monkeypatch):
+    # Each side of a virtual gate has five distinct actions among its six
+    # terms, so a fragment with four one-sided gates has 5^4 = 625 distinct
+    # instances of its 1 296. A gate inside one fragment has six.
+    evolved = []
+
+    def counting(c, reps):
+        ev = evolve(c, reps)
+        evolved.append((len(reps), len(ev.reads)))
+        return ev
+
+    evolve = sim._evolve
+    monkeypatch.setattr(sim, "_evolve", counting)
+    star = compiled(Circuit(5, [instr("cx", 0, q) for q in range(1, 5)]),
+                    range(4))
+    internal = compiled(Circuit(2, [instr("cx", 0, 1), instr("cz", 0, 1)]), [1])
+    for prog, leaves in ((star, [625, 5, 5, 5, 5]), (internal, [6]),
+                         (internal_gate_program(), [30, 5])):
+        for pc in prog.fragments:
+            one = replace(prog, fragments=[pc])
+            count = 6 ** len(pc.touching_gates(prog.gate_order))
+            for mode in ("exact", "sampled"):
+                evolved.clear()
+                [entry] = execute(one, mode=mode, shots=100).entries
+                assert len(entry.distributions) == count
+                # leaves that reached _evolve, and the trie nodes it ended with
+                assert [sum(col) for col in zip(*evolved)] == \
+                    [leaves[pc.fragment_index]] * 2
 
 
 def test_simulator_entry_points_stay_bound_in_runtime():

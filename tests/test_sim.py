@@ -285,3 +285,12 @@ def test_branch_overflow_refused_before_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_run_batch_refuses_slots_that_do_not_number_the_instances():
+    acts = tuple(e.a for e in decomposition_for("cx").entries)
+    assert len(sim.run_batch(Circuit(1, [sim.Slot(0, acts)]), 12)) == 12
+    with pytest.raises(SimulationError, match="strides"):
+        sim.run_batch(Circuit(1, [sim.Slot(0, acts, stride=2)]), 12)
+    with pytest.raises(SimulationError, match="do not fill"):
+        sim.run_batch(Circuit(1, [sim.Slot(0, acts)]), 9)
