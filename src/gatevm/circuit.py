@@ -6,7 +6,7 @@ project-wide.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 GATES_1Q = frozenset({"h", "x", "y", "z", "s", "t", "rx", "ry", "rz"})
 GATES_2Q = frozenset({"cx", "cz", "rzz"})
@@ -60,7 +60,8 @@ class Instruction:
             raise CircuitError("only measurements carry a sign flag")
 
     def remap(self, qubit_map: dict[int, int]) -> "Instruction":
-        return replace(self, qubits=tuple(qubit_map[q] for q in self.qubits))
+        return Instruction(self.kind, tuple(qubit_map[q] for q in self.qubits),
+                           self.angle, self.clbit, self.sign)
 
 
 def instr(kind: str, *qubits: int, angle: float | None = None,

@@ -37,6 +37,8 @@ class QpuModel:
         for a, b in self.coupling:
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise QpuError(f"coupling edge ({a}, {b}) out of range")
+            if a == b:
+                raise QpuError(f"coupling edge ({a}, {b}) is a self-loop")
         if self.queue_length < 0:
             raise QpuError("queue_length must be >= 0")
 

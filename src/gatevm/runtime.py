@@ -25,7 +25,7 @@ from .qpu import QpuModel
 # run_exact and run_sampled stay importable from here for callers that
 # look the simulator up through this module.
 from .sim import SignedDistribution, Slot, run_batch, run_exact, run_sampled
-from .transpiler import esp, map_and_route
+from .transpiler import coupling_key, esp, map_and_route
 
 MAX_FRAGMENT_INSTANCES = 10_000_000
 # Knit accumulator entries Pi (product of the fragments' key-union sizes). A
@@ -145,8 +145,9 @@ def schedule(program: CompiledProgram, qpus: list[QpuModel], alpha: float,
     """Assign each fragment to the QPU with the highest score.
 
     A candidate must have enough qubits. Each fragment is routed once per
-    distinct coupling map (routing reads nothing else of a QPU), and each
-    candidate's success probability uses its own error rates. The
+    distinct coupling map (routing reads nothing else of a QPU), and its
+    success probability is computed once per coupling map and error-rate
+    table, so each candidate's uses its own rates. The
     score is ``alpha * (1 - w) + beta * esp`` with ``w`` the queue length
     normalized by the fleet-wide maximum (0 when every queue is empty).
     Ties go to the lexicographically first QPU name. The chosen QPU's queue
@@ -168,11 +169,15 @@ def schedule(program: CompiledProgram, qpus: list[QpuModel], alpha: float,
         best = None
         best_score = None
         routed = {}
+        successes = {}
         for qpu in candidates:
-            coupling = (qpu.num_qubits, frozenset(qpu.graph().edges))
+            coupling = coupling_key(qpu)
             if coupling not in routed:
                 routed[coupling] = map_and_route(proxy, qpu, seed)
-            success = esp(routed[coupling], qpu)
+            rates = coupling, tuple(sorted(qpu.error_rates.items()))
+            if rates not in successes:
+                successes[rates] = esp(routed[coupling], qpu)
+            success = successes[rates]
             wait = qpu.queue_length / max_queue if max_queue > 0 else 0.0
             score = alpha * (1.0 - wait) + beta * success
             if best_score is None or score > best_score:

@@ -7,6 +7,7 @@ cut and uncut circuits both go through this same transpiler.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +45,48 @@ def _interaction_graph(c: Circuit) -> nx.Graph:
     return g
 
 
-def _greedy_layout(c: Circuit, coupling: nx.Graph,
-                   distances: dict) -> dict[int, int]:
+CouplingKey = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def coupling_key(qpu: QpuModel) -> CouplingKey:
+    """The QPU's qubit count and sorted, normalized coupling edges: all that
+    routing reads of a QPU. Computed afresh on each call, so a QPU whose
+    ``coupling`` list changed gets the tables of its new map."""
+    return qpu.num_qubits, tuple(sorted({(min(a, b), max(a, b))
+                                         for a, b in qpu.coupling}))
+
+
+class _CouplingTables:
+    """What routing reads of one coupling map: its graph, the hop distances
+    between every connected pair, each qubit's neighbors, the three CX of a
+    SWAP on each coupled pair, and a memo of shortest paths."""
+
+    def __init__(self, key: CouplingKey):
+        num_qubits, edges = key
+        self.num_qubits = num_qubits
+        self.graph = nx.Graph()
+        self.graph.add_nodes_from(range(num_qubits))
+        self.graph.add_edges_from(edges)
+        self.distances = dict(nx.all_pairs_shortest_path_length(self.graph))
+        self.neighbors = tuple(frozenset(self.graph[p]) for p in range(num_qubits))
+        self.swaps = {(pa, pb): (instr("cx", pa, pb), instr("cx", pb, pa),
+                                 instr("cx", pa, pb))
+                      for a, b in edges for pa, pb in ((a, b), (b, a))}
+        self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def path(self, a: int, b: int) -> tuple[int, ...]:
+        found = self._paths.get((a, b))
+        if found is None:
+            found = self._paths[a, b] = tuple(nx.shortest_path(self.graph, a, b))
+        return found
+
+
+@functools.lru_cache(maxsize=32)
+def _coupling_tables(key: CouplingKey) -> _CouplingTables:
+    return _CouplingTables(key)
+
+
+def _greedy_layout(c: Circuit, tables: _CouplingTables) -> dict[int, int]:
     """Greedy subgraph matching of the interaction graph onto the coupling
     graph: highest-degree logical qubits first, each placed to maximize
     adjacency to its already-placed neighbors, preferring close spots with
@@ -54,16 +95,16 @@ def _greedy_layout(c: Circuit, coupling: nx.Graph,
     order = sorted(inter.nodes,
                    key=lambda q: (-sum(d["weight"] for d in inter[q].values()), q))
     layout: dict[int, int] = {}
-    free = set(coupling.nodes)
+    free = set(range(tables.num_qubits))
     for logical in order:
         placed_nb = [layout[nb] for nb in inter[logical] if nb in layout]
         best_score = None
         best = None
         for p in sorted(free):
-            adjacency = sum(1 for pn in placed_nb if coupling.has_edge(p, pn))
-            dist = sum(distances[p].get(pn, len(coupling)) for pn in placed_nb)
-            room = sum(1 for nb in coupling[p] if nb in free)
-            score = (adjacency, -dist, room, -p)
+            near, dist_from = tables.neighbors[p], tables.distances[p]
+            adjacency = sum(1 for pn in placed_nb if pn in near)
+            dist = sum(dist_from.get(pn, tables.num_qubits) for pn in placed_nb)
+            score = (adjacency, -dist, len(near & free), -p)
             if best_score is None or score > best_score:
                 best_score, best = score, p
         layout[logical] = best
@@ -73,7 +114,9 @@ def _greedy_layout(c: Circuit, coupling: nx.Graph,
 
 def map_and_route(c: Circuit, qpu: QpuModel, seed: int = 0) -> PhysicalCircuit:
     """Map a circuit onto a QPU and insert SWAPs (3 CX each) for two-qubit
-    gates on non-adjacent qubits. Deterministic for a given seed.
+    gates on non-adjacent qubits. Fully deterministic: ``seed`` is accepted
+    for a seeded router but read by nothing, so the tables cached per
+    coupling map leave it out.
 
     The routed circuit always ends with explicit measurements for the
     logical outputs (the input's measurements remapped, or every logical
@@ -85,9 +128,9 @@ def map_and_route(c: Circuit, qpu: QpuModel, seed: int = 0) -> PhysicalCircuit:
         raise TranspileError(
             f"circuit needs {c.num_qubits} qubits, QPU {qpu.name} has "
             f"{qpu.num_qubits}")
-    coupling = qpu.graph()
-    distances = dict(nx.all_pairs_shortest_path_length(coupling))
-    layout = _greedy_layout(c, coupling, distances)
+    tables = _coupling_tables(coupling_key(qpu))
+    neighbors = tables.neighbors
+    layout = _greedy_layout(c, tables)
 
     l2p = dict(layout)
     p2l = {p: l for l, p in l2p.items()}
@@ -95,31 +138,28 @@ def map_and_route(c: Circuit, qpu: QpuModel, seed: int = 0) -> PhysicalCircuit:
     swaps = 0
     has_measure = any(ins.kind == "measure" for ins in c.instructions)
 
-    def emit_swap(pa: int, pb: int) -> None:
-        nonlocal swaps
-        out.extend([instr("cx", pa, pb), instr("cx", pb, pa), instr("cx", pa, pb)])
-        swaps += 1
-        la, lb = p2l.get(pa), p2l.get(pb)
-        if la is not None:
-            l2p[la] = pb
-        if lb is not None:
-            l2p[lb] = pa
-        p2l[pa], p2l[pb] = lb, la
-
     for ins in c.instructions:
         if ins.kind in GATES_2Q:
             a, b = (l2p[q] for q in ins.qubits)
-            if not coupling.has_edge(a, b):
-                if b not in distances[a]:
+            if b not in neighbors[a]:
+                if b not in tables.distances[a]:
                     raise TranspileError(
                         f"qubits {ins.qubits} are not connected on {qpu.name}")
-                path = nx.shortest_path(coupling, a, b)
-                for nxt in path[1:-1]:
-                    emit_swap(l2p[ins.qubits[0]], nxt)
+                for pb in tables.path(a, b)[1:-1]:
+                    # SWAP the first qubit's content one hop along the path.
+                    pa = l2p[ins.qubits[0]]
+                    out.extend(tables.swaps[pa, pb])
+                    swaps += 1
+                    la, lb = p2l.get(pa), p2l.get(pb)
+                    if la is not None:
+                        l2p[la] = pb
+                    if lb is not None:
+                        l2p[lb] = pa
+                    p2l[pa], p2l[pb] = lb, la
                 a, b = (l2p[q] for q in ins.qubits)
             out.append(Instruction(ins.kind, (a, b), ins.angle))
         else:
-            out.append(ins.remap({q: l2p[q] for q in ins.qubits}))
+            out.append(ins.remap(l2p))
 
     if not has_measure:
         for q in range(c.num_qubits):
@@ -158,11 +198,16 @@ def esp(pc: PhysicalCircuit | Circuit, qpu: QpuModel) -> float:
     """Estimated success probability: product of (1 - e_op) over every gate,
     measurement and reset; barriers are free."""
     c = pc.circuit if isinstance(pc, PhysicalCircuit) else pc
+    factors: dict[tuple[str, int], float] = {}
     value = 1.0
     for ins in c.instructions:
         if ins.kind == "barrier":
             continue
-        value *= 1.0 - qpu.rate_for(ins.kind, len(ins.qubits))
+        op = ins.kind, len(ins.qubits)
+        factor = factors.get(op)
+        if factor is None:
+            factor = factors[op] = 1.0 - qpu.rate_for(*op)
+        value *= factor
     return value
 
 

@@ -12,7 +12,10 @@ bisects networkx subgraph views, and dependency pairs and gate costs read
 off an incrementally maintained operation graph (a topological sort with a
 reachability walk, and frontier sweeps over graph predecessors and
 successors). That graph is built gate by gate in id order and then relinked
-around each virtual gate, without reading the stream's order.
+around each virtual gate, without reading the stream's order. The router and
+the scheduler are checked against versions that rebuild the coupling graph,
+its all-pairs distances and every SWAP path on each call and look up every
+instruction's error rate.
 """
 from __future__ import annotations
 
@@ -643,3 +646,162 @@ def reference_execute(program, mode: str = "exact", shots: int = 20000,
                                            int(ss.generate_state(1)[0])))
         out.append(dists)
     return out
+
+
+def _reference_greedy_layout(c: Circuit, coupling: nx.Graph,
+                             distances: dict) -> dict[int, int]:
+    """Greedy subgraph matching of the interaction graph onto the coupling
+    graph: highest-degree logical qubits first, each placed to maximize
+    adjacency to its already-placed neighbors, preferring close spots with
+    the most remaining room. Fully deterministic."""
+    from gatevm.transpiler import _interaction_graph
+
+    inter = _interaction_graph(c)
+    order = sorted(inter.nodes,
+                   key=lambda q: (-sum(d["weight"] for d in inter[q].values()), q))
+    layout: dict[int, int] = {}
+    free = set(coupling.nodes)
+    for logical in order:
+        placed_nb = [layout[nb] for nb in inter[logical] if nb in layout]
+        best_score = None
+        best = None
+        for p in sorted(free):
+            adjacency = sum(1 for pn in placed_nb if coupling.has_edge(p, pn))
+            dist = sum(distances[p].get(pn, len(coupling)) for pn in placed_nb)
+            room = sum(1 for nb in coupling[p] if nb in free)
+            score = (adjacency, -dist, room, -p)
+            if best_score is None or score > best_score:
+                best_score, best = score, p
+        layout[logical] = best
+        free.discard(best)
+    return layout
+
+
+def reference_map_and_route(c: Circuit, qpu, seed: int = 0):
+    """The router that builds the coupling graph, runs an all-pairs BFS and
+    finds each SWAP path with ``nx.shortest_path`` on every call."""
+    from gatevm.circuit import Instruction, instr
+    from gatevm.transpiler import PhysicalCircuit, TranspileError
+
+    c.validate()
+    if c.num_qubits > qpu.num_qubits:
+        raise TranspileError(
+            f"circuit needs {c.num_qubits} qubits, QPU {qpu.name} has "
+            f"{qpu.num_qubits}")
+    coupling = qpu.graph()
+    distances = dict(nx.all_pairs_shortest_path_length(coupling))
+    layout = _reference_greedy_layout(c, coupling, distances)
+
+    l2p = dict(layout)
+    p2l = {p: l for l, p in l2p.items()}
+    out: list[Instruction] = []
+    swaps = 0
+    has_measure = any(ins.kind == "measure" for ins in c.instructions)
+
+    def emit_swap(pa: int, pb: int) -> None:
+        nonlocal swaps
+        out.extend([instr("cx", pa, pb), instr("cx", pb, pa), instr("cx", pa, pb)])
+        swaps += 1
+        la, lb = p2l.get(pa), p2l.get(pb)
+        if la is not None:
+            l2p[la] = pb
+        if lb is not None:
+            l2p[lb] = pa
+        p2l[pa], p2l[pb] = lb, la
+
+    for ins in c.instructions:
+        if ins.kind in GATES_2Q:
+            a, b = (l2p[q] for q in ins.qubits)
+            if not coupling.has_edge(a, b):
+                if b not in distances[a]:
+                    raise TranspileError(
+                        f"qubits {ins.qubits} are not connected on {qpu.name}")
+                path = nx.shortest_path(coupling, a, b)
+                for nxt in path[1:-1]:
+                    emit_swap(l2p[ins.qubits[0]], nxt)
+                a, b = (l2p[q] for q in ins.qubits)
+            out.append(Instruction(ins.kind, (a, b), ins.angle))
+        else:
+            out.append(ins.remap({q: l2p[q] for q in ins.qubits}))
+
+    if not has_measure:
+        for q in range(c.num_qubits):
+            out.append(instr("measure", l2p[q], clbit=q))
+        num_clbits = c.num_qubits
+    else:
+        num_clbits = c.num_clbits
+    routed = Circuit(qpu.num_qubits, out, name=f"{c.name}@{qpu.name}",
+                     num_clbits=num_clbits).validate()
+    return PhysicalCircuit(routed, layout, dict(l2p), swaps)
+
+
+def reference_esp(pc, qpu) -> float:
+    """Product of (1 - e_op) over every gate, measurement and reset, with
+    the rate looked up for each instruction."""
+    c = getattr(pc, "circuit", pc)
+    value = 1.0
+    for ins in c.instructions:
+        if ins.kind == "barrier":
+            continue
+        value *= 1.0 - qpu.rate_for(ins.kind, len(ins.qubits))
+    return value
+
+
+def reference_schedule(program, qpus, alpha: float, beta: float,
+                       seed: int = 0) -> dict[int, str]:
+    """The scheduler that routes each fragment once per coupling map, keyed
+    by a per-candidate networkx graph, and computes every candidate's ESP."""
+    from gatevm.runtime import NoFittingQpuError, metric_proxy
+
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha and beta must be >= 0")
+    assignment: dict[int, str] = {}
+    for pc in program.fragments:
+        candidates = sorted((q for q in qpus if q.num_qubits >= pc.num_qubits),
+                            key=lambda q: q.name)
+        if not candidates:
+            raise NoFittingQpuError(
+                f"no QPU fits fragment {pc.fragment_index} "
+                f"({pc.num_qubits} qubits)")
+        proxy = metric_proxy(pc)
+        max_queue = max(q.queue_length for q in qpus)
+        best = None
+        best_score = None
+        routed = {}
+        for qpu in candidates:
+            coupling = (qpu.num_qubits, frozenset(qpu.graph().edges))
+            if coupling not in routed:
+                routed[coupling] = reference_map_and_route(proxy, qpu, seed)
+            success = reference_esp(routed[coupling], qpu)
+            wait = qpu.queue_length / max_queue if max_queue > 0 else 0.0
+            score = alpha * (1.0 - wait) + beta * success
+            if best_score is None or score > best_score:
+                best, best_score = qpu, score
+        assignment[pc.fragment_index] = best.name
+        best.queue_length += 6 ** len(pc.touching_gates(program.gate_order))
+    return assignment
+
+
+def bench_family_programs(rng: random.Random, count: int, max_qubits: int = 16):
+    """``count`` compiled programs of random bench-family circuits under
+    random pass settings; specs and settings that are refused are skipped."""
+    from gatevm.bench import (FAMILIES, BenchmarkError, BenchmarkSpec,
+                              generate_benchmark)
+    from gatevm.codegen import generate
+    from gatevm.passes import (PassConfig, WidthUnreachableError,
+                               WireSplitError, run_pipeline)
+    from gatevm.vc import from_circuit
+
+    programs = []
+    while len(programs) < count:
+        n = rng.randint(4, max_qubits)
+        spec = BenchmarkSpec(rng.choice(FAMILIES), n, rng.randint(1, 3),
+                             seed=rng.randrange(100))
+        cfg = PassConfig(max_fragment_size=rng.randint(2, n - 1),
+                         budget=rng.randint(0, 4), seed=rng.randrange(3))
+        try:
+            programs.append(generate(run_pipeline(
+                from_circuit(generate_benchmark(spec)), cfg)))
+        except (BenchmarkError, WidthUnreachableError, WireSplitError):
+            continue
+    return programs

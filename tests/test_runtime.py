@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -33,7 +34,8 @@ from gatevm.sim import SignedDistribution, linf_distance, run_exact
 from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
-from helpers import random_circuit, reference_execute, reference_knit
+from helpers import (bench_family_programs, random_circuit, reference_execute,
+                     reference_knit, reference_schedule)
 
 
 def compiled(circuit, vgate_ids):
@@ -264,6 +266,59 @@ def test_schedule_routes_once_per_coupling_map(monkeypatch):
     assert schedule(prog, make_fleet(), alpha=0.0, beta=1.0, seed=3) == expected
     assert set(expected.values()) == {"hh-b"}
     assert len(routed) == len(prog.fragments) == 2
+
+
+def test_schedule_computes_esp_once_per_rate_table(monkeypatch):
+    # hh-a and hh-b share a coupling map and a rate table; hh-c shares only
+    # the map. Per fragment: one route, two ESPs, and the same assignment
+    # as the scheduler that computes every candidate's ESP.
+    prog = compiled(Circuit(6, [instr("h", 0)] + [
+        instr("cx", a, b) for a, b in ((0, 3), (3, 1), (1, 4), (4, 2), (2, 5))]),
+        [2])
+    clean = {"2q": 0.01, "1q": 0.001, "measure": 0.01}
+
+    def make_fleet():
+        return [heavy_hex_qpu("hh-a", error_rates=clean),
+                heavy_hex_qpu("hh-b", queue_length=4, error_rates=clean),
+                heavy_hex_qpu("hh-c", error_rates={"2q": 0.001})]
+
+    expected_fleet = make_fleet()
+    expected = reference_schedule(prog, expected_fleet, 0.3, 0.7)
+    calls = []
+    monkeypatch.setattr(runtime, "esp", lambda pc, qpu: calls.append(qpu.name)
+                        or esp(pc, qpu))
+    got_fleet = make_fleet()
+    assert schedule(prog, got_fleet, 0.3, 0.7) == expected
+    assert [q.queue_length for q in got_fleet] == \
+        [q.queue_length for q in expected_fleet]
+    assert calls == ["hh-a", "hh-c"] * len(prog.fragments)
+
+
+def test_schedule_matches_reference_on_bench_programs():
+    def make_fleet(rng):
+        return [heavy_hex_qpu("hh27-a", rng.randrange(30)),
+                heavy_hex_qpu("hh27-b", rng.randrange(30),
+                              {"2q": 0.02, "1q": 0.001, "measure": 0.03}),
+                line_qpu(12, queue_length=rng.randrange(30)),
+                line_qpu(7, queue_length=rng.randrange(30))]
+
+    rng = random.Random(1414)
+    programs = bench_family_programs(rng, 60)
+    picked = set()
+    for prog in programs:
+        alpha, beta = rng.choice([(0.5, 0.5), (0.0, 1.0), (1.0, 0.0),
+                                  (rng.random(), rng.random())])
+        state = rng.getstate()
+        got_fleet = make_fleet(rng)
+        rng.setstate(state)
+        want_fleet = make_fleet(rng)
+        seed = rng.randrange(4)
+        got = schedule(prog, got_fleet, alpha, beta, seed)
+        assert got == reference_schedule(prog, want_fleet, alpha, beta, seed)
+        assert [q.queue_length for q in got_fleet] == \
+            [q.queue_length for q in want_fleet]
+        picked |= set(got.values())
+    assert picked == {"hh27-a", "hh27-b", "line-12", "line-7"}
 
 
 # ---------------------------------------------------------------------------
@@ -802,3 +857,12 @@ def test_qpu_validation():
         QpuModel("bad", 2, [], {"cx": 1.5})
     with pytest.raises(QpuError):
         QpuModel("bad", 2, [], {}, queue_length=-1)
+
+
+def test_qpu_rejects_self_loop_edges():
+    with pytest.raises(QpuError, match="self-loop"):
+        QpuModel("bad", 3, [(0, 1), (1, 1)])
+    doc = json.loads(fleet_to_json([line_qpu(3)]))
+    doc["qpus"][0]["coupling"].append([2, 2])
+    with pytest.raises(QpuError, match=r"coupling edge \(2, 2\) is a self-loop"):
+        fleet_from_json(json.dumps(doc))

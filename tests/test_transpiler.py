@@ -3,8 +3,10 @@ import random
 import networkx as nx
 import pytest
 
+from gatevm import transpiler
 from gatevm.circuit import Circuit, GATES_2Q, instr
-from gatevm.qpu import heavy_hex_qpu, line_qpu, preset_qpu
+from gatevm.qpu import QpuModel, heavy_hex_qpu, line_qpu, preset_qpu
+from gatevm.runtime import metric_proxy
 from gatevm.sim import SignedDistribution, linf_distance, run_exact
 from gatevm.transpiler import (
     TranspileError,
@@ -15,7 +17,8 @@ from gatevm.transpiler import (
     map_and_route,
 )
 
-from helpers import random_circuit
+from helpers import (bench_family_programs, random_circuit, reference_esp,
+                     reference_map_and_route)
 
 
 def rated_line(n, rate=0.0):
@@ -90,6 +93,84 @@ def test_route_deterministic_per_seed():
     b = map_and_route(c, heavy_hex_qpu(), seed=4)
     assert a.circuit.instructions == b.circuit.instructions
     assert a.layout == b.layout
+
+
+def test_route_ignores_seed():
+    # Nothing in the router is seeded, which is why the tables cached per
+    # coupling map leave the seed out; a seeded router must key them by it.
+    rng = random.Random(3)
+    for qpu in (heavy_hex_qpu(), line_qpu(7)):
+        for _ in range(10):
+            c = random_circuit(rng, 6, 20, two_qubit_prob=0.7)
+            routes = [map_and_route(c, qpu, seed=seed) for seed in range(4)]
+            for pc in routes[1:]:
+                assert pc.circuit.instructions == routes[0].circuit.instructions
+                assert pc.layout == routes[0].layout
+                assert pc.final_layout == routes[0].final_layout
+                assert pc.inserted_swaps == routes[0].inserted_swaps
+
+
+def assert_same_route(got, want):
+    assert got.circuit.instructions == want.circuit.instructions
+    assert (got.circuit.num_qubits, got.circuit.num_clbits, got.circuit.name) == \
+        (want.circuit.num_qubits, want.circuit.num_clbits, want.circuit.name)
+    assert got.layout == want.layout
+    assert got.final_layout == want.final_layout
+    assert got.inserted_swaps == want.inserted_swaps
+
+
+def test_routing_matches_reference_on_bench_fragments():
+    devices = [heavy_hex_qpu(), line_qpu(12), line_qpu(7)]
+    routed = swaps = 0
+    for program in bench_family_programs(random.Random(1313), 60):
+        for pc in program.fragments:
+            proxy = metric_proxy(pc)
+            for qpu in devices:
+                if proxy.num_qubits > qpu.num_qubits:
+                    with pytest.raises(TranspileError):
+                        map_and_route(proxy, qpu)
+                    continue
+                got = map_and_route(proxy, qpu)
+                assert_same_route(got, reference_map_and_route(proxy, qpu))
+                assert esp(got, qpu) == reference_esp(got, qpu)
+                routed += 1
+                swaps += got.inserted_swaps
+    assert routed > 300 and swaps > 300, (routed, swaps)
+
+
+def test_routing_tables_built_once_per_coupling_map():
+    def fleet():
+        return [heavy_hex_qpu("hh-a"), heavy_hex_qpu("hh-b"), line_qpu(12)]
+
+    c = random_circuit(random.Random(5), 7, 25, two_qubit_prob=0.7)
+    transpiler._coupling_tables.cache_clear()
+    for _ in range(2):
+        for qpu in fleet():
+            map_and_route(c, qpu)
+    info = transpiler._coupling_tables.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_routing_follows_a_changed_coupling_list():
+    c = Circuit(3, [instr("cx", 0, 1), instr("cx", 1, 2), instr("cx", 0, 2)])
+    qpu = rated_line(3)
+    assert map_and_route(c, qpu).inserted_swaps >= 1
+    qpu.coupling.append((2, 0))
+    got = map_and_route(c, qpu)
+    assert got.inserted_swaps == 0
+    assert_same_route(got, reference_map_and_route(c, qpu))
+    fresh = QpuModel(qpu.name, 3, [(0, 1), (1, 2), (0, 2)], qpu.error_rates)
+    assert_same_route(got, map_and_route(c, fresh))
+
+
+def test_routing_refuses_disconnected_qubits():
+    qpu = QpuModel("split", 4, [(0, 1), (2, 3)])
+    c = Circuit(4, [instr("cx", 0, 1), instr("cx", 2, 3), instr("cx", 0, 1),
+                    instr("cx", 1, 2)])
+    with pytest.raises(TranspileError, match="not connected"):
+        map_and_route(c, qpu)
+    with pytest.raises(TranspileError, match="not connected"):
+        reference_map_and_route(c, qpu)
 
 
 # ---------------------------------------------------------------------------
