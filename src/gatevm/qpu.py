@@ -34,13 +34,19 @@ class QpuModel:
         for kind, rate in self.error_rates.items():
             if not 0.0 <= rate < 1.0:
                 raise QpuError(f"error rate for {kind!r} must be in [0, 1)")
+        self.check_coupling()
+        if self.queue_length < 0:
+            raise QpuError("queue_length must be >= 0")
+
+    def check_coupling(self) -> None:
+        """Raise QpuError for an edge with an end outside the QPU or a
+        self-loop; ``coupling`` is a plain list, so edges added after
+        construction are checked where they are read."""
         for a, b in self.coupling:
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise QpuError(f"coupling edge ({a}, {b}) out of range")
             if a == b:
                 raise QpuError(f"coupling edge ({a}, {b}) is a self-loop")
-        if self.queue_length < 0:
-            raise QpuError("queue_length must be >= 0")
 
     def rate_for(self, kind: str, num_qubits: int) -> float:
         if kind in self.error_rates:

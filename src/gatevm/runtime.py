@@ -6,9 +6,11 @@ estimated success probability. Execution runs all instances of a fragment
 as one batched statevector evolution. The knitter reconstructs the original
 circuit's quasi-distribution by summing, over all 6^k global instances,
 the coefficient-weighted Kronecker product of per-fragment result tables
-into one accumulator, many instances per array operation where the key
-unions are small; the global coefficient vector is split into contiguous
-ranges across a process pool.
+into one accumulator. It takes many instances per array operation where
+the key unions are small: the fragments but the last build a chunk's
+weighted Kronecker prefixes, and one matrix product with the last
+fragment's rows adds the whole chunk. The global coefficient vector is
+split into contiguous ranges across a process pool.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from .transpiler import coupling_key, esp, map_and_route
 
 MAX_FRAGMENT_INSTANCES = 10_000_000
 # Knit accumulator entries Pi (product of the fragments' key-union sizes). A
-# worker holds the accumulator and a chunk's last product (32 MiB each at the
-# limit), smaller row and prefix buffers, and a Pi-entry sum if Pi <= 2^15.
+# worker holds the accumulator and a chunk's product with the last fragment
+# (32 MiB each at the limit), and smaller row and prefix buffers.
 MAX_KNIT_ENTRIES = 1 << 22
 # A knit chunk spans max(1, KNIT_CHUNK_ENTRIES // Pi) global instances.
 KNIT_CHUNK_ENTRIES = 1 << 16
@@ -284,26 +286,33 @@ def _fragment_tables(results: FragmentResults):
         table = np.bincount(row * union.size + column, weights=values,
                             minlength=rows * union.size).astype(np.float64, copy=False)
         tables.append((strides, union, table.reshape(rows, union.size)))
-    return tables
+    # A program without fragments knits as one fragment whose one instance
+    # gives key 0 weight 1.
+    return tables or [([], np.zeros(1, dtype=np.int64), np.ones((1, 1)))]
 
 
 def _knit_range(args):
     start, end, coeff, tables = args
-    widths = [union.size for _, union, _ in tables]
-    size = math.prod(widths)
-    chunk = max(1, min(KNIT_CHUNK_ENTRIES // max(size, 1), end - start))
+    *head, (_, _, last) = tables
+    widths = [table.shape[1] for _, _, table in tables]
+    chunk = max(1, min(KNIT_CHUNK_ENTRIES // max(math.prod(widths), 1), end - start))
     block = chunk * max(1, KNIT_BLOCK // chunk)
-    acc = np.zeros((1, size))
-    total = np.empty((1, size)) if chunk > 1 else None
-    # Per fragment, allocated once with a leading chunk axis: its table rows,
-    # the coefficient-weighted row-wise Kronecker product through it (its own
-    # axis outside the earlier ones, so numpy's innermost loop is the long
-    # one), and that product as the next step's left operand.
+    # Per fragment but the last, allocated once with a leading chunk axis: its
+    # table rows, the coefficient-weighted row-wise Kronecker product through
+    # it (its own axis outside the earlier ones, so numpy's innermost loop is
+    # the long one), and that product as the next step's left operand.
     steps, prefix = [], 1
-    for width in widths:
+    for width in widths[:-1]:
         row, prod = np.empty((chunk, width)), np.empty((chunk, width, prefix))
         prefix *= width
         steps.append((row, row[:, :, None], prod, prod.reshape(chunk, 1, prefix)))
+    # The last fragment's rows meet the chunk's prefix products in one matrix
+    # product, which also sums over the chunk; its axis is the accumulator's
+    # outer one. A one-instance chunk makes that an outer product, which
+    # numpy computes faster elementwise.
+    rows, buf = np.empty((chunk, widths[-1])), np.empty((widths[-1], prefix))
+    acc = np.zeros_like(buf)
+    product = np.matmul if chunk > 1 else np.multiply
     for first in range(start, end, block):
         # Global instances with a nonzero coefficient, padded to whole chunks
         # by instance 0 with weight 0, which adds exact zeros.
@@ -314,11 +323,13 @@ def _knit_range(args):
                      np.zeros_like(live)).reshape(-1, chunk)
                  for strides, _, _ in tables]
         for term, *lis in zip(weights.reshape(-1, chunk, 1, 1), *local):
-            for (row, rhs, prod, nxt), li, (_, _, table) in zip(steps, lis, tables):
+            for (row, rhs, prod, nxt), li, (_, _, table) in zip(steps, lis, head):
                 table.take(li, axis=0, out=row)
                 np.multiply(term, rhs, out=prod)
                 term = nxt
-            acc += term[0] if chunk == 1 else np.add.reduce(term, axis=0, out=total)
+            last.take(lis[-1], axis=0, out=rows)
+            product(rows.T, term.reshape(chunk, prefix), out=buf)
+            acc += buf
     return acc
 
 
@@ -330,11 +341,15 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
     decomposed into base-6 digits in gate order (last gate fastest), each
     fragment reads the digits of the gates touching it, and fragment
     bitstrings are scattered back to original output-bit positions. One
-    accumulator spans the product Pi of the fragments' key-union sizes; each
-    chunk of max(1, KNIT_CHUNK_ENTRIES // Pi) instances with a nonzero
-    coefficient adds the sum of its row-wise Kronecker products to it. The
+    accumulator spans the product Pi of the fragments' key-union sizes, with
+    the last fragment's axis outermost. Each chunk of
+    max(1, KNIT_CHUNK_ENTRIES // Pi) instances with a nonzero coefficient
+    builds the coefficient-weighted row-wise Kronecker product of every
+    fragment but the last, a (chunk, Pi / |u_last|) array, and adds the
+    matrix product of the last fragment's transposed rows with it; a
+    one-instance chunk adds their outer product, computed elementwise. The
     coefficient vector is split into ``workers`` contiguous ranges whose
-    accumulators are added.
+    accumulators are added. Keys are computed for the kept entries only.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -362,16 +377,22 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_knit_range, ranges)
 
-    values = parts[0].ravel()  # summed in place, in worker order
+    values = parts[0]  # summed in place, in worker order
     for part in parts[1:]:
-        values += part.ravel()
-    # Fragments own disjoint output bits, so the OR-products are unique; the
-    # first fragment varies fastest, as in the accumulator.
-    keys = np.zeros(1, dtype=np.int64)
-    for _, union, _ in tables:
-        keys = (union[:, None] | keys[None, :]).ravel()
+        values += part
+    del parts
+    # One accumulator axis per fragment, the first fastest. Each fragment's
+    # union, broadcast along its axis, is read at the kept entries only;
+    # fragments own disjoint output bits, so the OR of those reads is unique.
+    shape = [union.size for _, union, _ in reversed(tables)]
+    values = values.reshape(shape)
     keep = np.abs(values) >= _KNIT_OUTPUT_EPS
-    return SignedDistribution.from_arrays(keys[keep], values[keep], results.num_clbits)
+    values = values[keep]  # frees the accumulator
+    keys = np.zeros(values.size, dtype=np.int64)
+    for axis, (_, union, _) in enumerate(reversed(tables)):
+        along = union.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
+        keys |= np.broadcast_to(along, shape)[keep]
+    return SignedDistribution.from_arrays(keys, values, results.num_clbits)
 
 
 def run_program(program: CompiledProgram, mode: str = "exact",

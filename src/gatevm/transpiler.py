@@ -51,7 +51,9 @@ CouplingKey = tuple[int, tuple[tuple[int, int], ...]]
 def coupling_key(qpu: QpuModel) -> CouplingKey:
     """The QPU's qubit count and sorted, normalized coupling edges: all that
     routing reads of a QPU. Computed afresh on each call, so a QPU whose
-    ``coupling`` list changed gets the tables of its new map."""
+    ``coupling`` list changed gets the tables of its new map; an edge out of
+    range or a self-loop raises QpuError."""
+    qpu.check_coupling()
     return qpu.num_qubits, tuple(sorted({(min(a, b), max(a, b))
                                          for a, b in qpu.coupling}))
 

@@ -4,18 +4,19 @@ Everything here is deliberately implemented with different machinery than
 the package under test: dense Kronecker-product unitaries, density-matrix
 channel evolution, unpruned partition enumeration, a Floyd-Warshall
 reachability closure, and a knitter that loops over global instances in
-plain Python with dict accumulation. The compiler's single-sweep passes
-are checked against the algorithms they replaced: a predecessor-list DFS
-for a wire's dependency closure, a peephole optimizer that repeats
-whole rounds until no pair is left, a Kernighan-Lin cut plan that
-bisects networkx subgraph views, and dependency pairs and gate costs read
-off an incrementally maintained operation graph (a topological sort with a
-reachability walk, and frontier sweeps over graph predecessors and
-successors). That graph is built gate by gate in id order and then relinked
-around each virtual gate, without reading the stream's order. The router and
-the scheduler are checked against versions that rebuild the coupling graph,
-its all-pairs distances and every SWAP path on each call and look up every
-instruction's error rate.
+plain Python with dict accumulation. The knit kernel is also checked
+against the chunked kernel it replaced, which sums full-width Kronecker
+rows. The compiler's single-sweep passes are checked against the algorithms
+they replaced: a predecessor-list DFS for a wire's dependency closure, a
+peephole optimizer that repeats whole rounds until no pair is left, a
+Kernighan-Lin cut plan that bisects networkx subgraph views, and dependency
+pairs and gate costs read off an incrementally maintained operation graph
+(a topological sort with a reachability walk, and frontier sweeps over
+graph predecessors and successors). That graph is built gate by gate in id
+order and then relinked around each virtual gate, without reading the
+stream's order. The router and the scheduler are checked against versions
+that rebuild the coupling graph, its all-pairs distances and every SWAP
+path on each call and look up every instruction's error rate.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import networkx as nx
 import numpy as np
 from networkx.algorithms.community import kernighan_lin_bisection
 
+from gatevm import runtime
 from gatevm.circuit import Circuit, GATES_2Q
 from gatevm.codegen import ParamCircuit, Placeholder
 from gatevm.vc import Gate2
@@ -292,6 +294,47 @@ def reference_knit(results, coeffs) -> dict[int, float]:
         for key, v in terms.items():
             out[key] = out.get(key, 0.0) + c * v
     return {key: v for key, v in out.items() if abs(v) >= 1e-12}
+
+
+def reference_knit_range(args):
+    """The chunked knit kernel that the last-fragment matrix product
+    replaced, kept as it was: the coefficient-weighted row-wise Kronecker
+    product of every fragment, one Pi-long row per instance of the chunk,
+    summed over the chunk with ``np.add.reduce``. Same arguments as
+    ``runtime._knit_range``; returns a (1, Pi) accumulator with the first
+    fragment fastest. Chunk and block sizes follow ``runtime``'s settings."""
+    start, end, coeff, tables = args
+    widths = [union.size for _, union, _ in tables]
+    size = math.prod(widths)
+    chunk = max(1, min(runtime.KNIT_CHUNK_ENTRIES // max(size, 1), end - start))
+    block = chunk * max(1, runtime.KNIT_BLOCK // chunk)
+    acc = np.zeros((1, size))
+    total = np.empty((1, size)) if chunk > 1 else None
+    # Per fragment, allocated once with a leading chunk axis: its table rows,
+    # the coefficient-weighted row-wise Kronecker product through it (its own
+    # axis outside the earlier ones, so numpy's innermost loop is the long
+    # one), and that product as the next step's left operand.
+    steps, prefix = [], 1
+    for width in widths:
+        row, prod = np.empty((chunk, width)), np.empty((chunk, width, prefix))
+        prefix *= width
+        steps.append((row, row[:, :, None], prod, prod.reshape(chunk, 1, prefix)))
+    for first in range(start, end, block):
+        # Global instances with a nonzero coefficient, padded to whole chunks
+        # by instance 0 with weight 0, which adds exact zeros.
+        live = first + np.flatnonzero(coeff[first:min(first + block, end)])
+        pad = -live.size % chunk
+        weights, live = np.pad(coeff[live], (0, pad)), np.pad(live, (0, pad))
+        local = [sum((live // gs % 6 * ls for gs, ls in strides),
+                     np.zeros_like(live)).reshape(-1, chunk)
+                 for strides, _, _ in tables]
+        for term, *lis in zip(weights.reshape(-1, chunk, 1, 1), *local):
+            for (row, rhs, prod, nxt), li, (_, _, table) in zip(steps, lis, tables):
+                table.take(li, axis=0, out=row)
+                np.multiply(term, rhs, out=prod)
+                term = nxt
+            acc += term[0] if chunk == 1 else np.add.reduce(term, axis=0, out=total)
+    return acc
 
 
 def reference_kl_cut_plan(graph, s: int, rng: random.Random, restarts: int):

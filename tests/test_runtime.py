@@ -35,7 +35,7 @@ from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
 from helpers import (bench_family_programs, random_circuit, reference_execute,
-                     reference_knit, reference_schedule)
+                     reference_knit, reference_knit_range, reference_schedule)
 
 
 def compiled(circuit, vgate_ids):
@@ -624,9 +624,9 @@ def test_partial_measurement_marginalizes_unmeasured_qubits():
     assert knitted.as_strings() == pytest.approx({"00": 0.5, "11": 0.5})
 
 
-def assert_knit_matches_reference(results, coeffs):
+def assert_knit_matches_reference(results, coeffs, workers_list=(1, 2)):
     expected = reference_knit(results, coeffs)
-    for workers in (1, 2):
+    for workers in workers_list:
         got = knit(results, coeffs, workers=workers)
         assert set(got.entries) == set(expected)
         assert max((abs(got[key] - v) for key, v in expected.items()),
@@ -707,6 +707,15 @@ def test_knit_ghz24_in_six_qubit_fragments():
     assert_knit_matches_reference(results, coeffs)
 
 
+def test_knit_without_fragments_gives_key_zero():
+    # A zero-qubit program has no fragments and no virtual gates.
+    prog = generate(from_circuit(Circuit(0)))
+    assert prog.fragments == []
+    results = execute(prog)
+    assert_knit_matches_reference(results, global_coefficients(prog))
+    assert run_program(prog).entries == {0: 1.0}
+
+
 def ghz_chain_program(n):
     """GHZ-n with every cx leaving an odd qubit virtual: n/2 fragments of two
     qubits and k = n/2 - 1 virtual gates."""
@@ -774,22 +783,68 @@ def test_knit_worker_invariance_across_chunk_boundaries(monkeypatch):
 
 def dense_synthetic_results(gate_split, support_bits, seed):
     """Criterion 07-style workload: each fragment owns consecutive gates and
-    ``support_bits`` output bits, and every instance weights all
-    2^support_bits keys, so Pi = 2^(support_bits * fragments)."""
+    ``support_bits`` output bits (one count for every fragment, or one per
+    fragment), and every instance weights all of its keys, so Pi is 2 to the
+    total number of bits."""
+    if isinstance(support_bits, int):
+        support_bits = [support_bits] * len(gate_split)
     rng = np.random.default_rng(seed)
-    width = 1 << support_bits
-    entries, first = [], 0
-    for j, kj in enumerate(gate_split):
+    entries, first, clbit = [], 0, 0
+    for j, (kj, bits) in enumerate(zip(gate_split, support_bits)):
+        width = 1 << bits
         dists = [SignedDistribution.from_arrays(
-            np.arange(width), rng.normal(size=width), support_bits)
+            np.arange(width), rng.normal(size=width), bits)
             for _ in range(6 ** kj)]
         entries.append(FragmentResultEntry(
-            j, list(range(first, first + kj)),
-            list(range(j * support_bits, (j + 1) * support_bits)), dists))
+            j, list(range(first, first + kj)), list(range(clbit, clbit + bits)),
+            dists))
         first += kj
+        clbit += bits
     order = list(range(first))
-    return (FragmentResults(entries, order, support_bits * len(gate_split)),
+    return (FragmentResults(entries, order, clbit),
             GlobalCoefficients(rng.normal(size=6 ** first), order))
+
+
+def kernel_cases():
+    """knit_cases, plus three fragments whose last one is the widest, the
+    narrowest, or has no output bits (one key), and a last fragment whose
+    key union is empty."""
+    cases = knit_cases()
+    for bits in ((1, 2, 4), (4, 2, 1), (3, 3, 0)):
+        cases.append(dense_synthetic_results((1, 1, 2), bits, seed=sum(bits)))
+    results, coeffs = dense_synthetic_results((1, 2), (3, 2), seed=12)
+    last = results.entries[-1]
+    last.distributions[:] = [SignedDistribution({}, d.num_bits)
+                             for d in last.distributions]
+    return cases + [(results, coeffs)]
+
+
+def worker_ranges(total, workers):
+    bounds = [round(total * w / workers) for w in range(workers + 1)]
+    return [(bounds[w], bounds[w + 1]) for w in range(workers)
+            if bounds[w] < bounds[w + 1]]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, "all"])
+def test_knit_kernel_matches_replaced_kernel_and_reference(monkeypatch, chunk):
+    # chunk: runtime's own rule, one or seven instances per chunk, or more
+    # than the 6^k global instances (then a whole worker range).
+    cases = kernel_cases()
+    assert [union_sizes(results)[-1] for results, _ in cases[-4:]] == [16, 2, 1, 0]
+    for results, coeffs in cases:
+        tables = runtime._fragment_tables(results)
+        size = math.prod(union_sizes(results))
+        if chunk is not None:
+            per = len(coeffs) + 1 if chunk == "all" else chunk
+            monkeypatch.setattr(runtime, "KNIT_CHUNK_ENTRIES", per * max(size, 1))
+        for workers in (1, 2, 3):
+            for start, end in worker_ranges(len(coeffs), workers):
+                args = (start, end, coeffs.values, tables)
+                got = runtime._knit_range(args).ravel()
+                old = reference_knit_range(args).ravel()
+                assert got.shape == old.shape == (size,)
+                assert np.max(np.abs(got - old), initial=0.0) <= 1e-12
+        assert_knit_matches_reference(results, coeffs, (1, 2, 3))
 
 
 def traced_knit_peak(results, coeffs):
@@ -809,6 +864,18 @@ def test_knit_memory_is_a_few_accumulators():
     size = 1 << 16
     assert math.prod(union_sizes(results)) == size
     assert traced_knit_peak(results, coeffs) < 8 * (8 * size)
+
+
+def test_knit_output_phase_builds_no_full_key_array():
+    # Same workload, every entry kept. The output phase holds the accumulator
+    # with its keep mask, then the kept values, the keys and one union read
+    # (3.13 x 8 Pi), beside the two fragments' tables: 3.42 x 8 Pi measured.
+    # Building the Pi-long key array and copying it to the kept entries
+    # measured 4.42 x 8 Pi. The bound leaves a 10% margin over 3.42.
+    results, coeffs = dense_synthetic_results((2, 2), 8, seed=3)
+    size = 1 << 16
+    assert knit(results, coeffs).keys.size == size
+    assert traced_knit_peak(results, coeffs) < 3.76 * (8 * size)
 
 
 def test_knit_builds_no_array_over_global_instances():

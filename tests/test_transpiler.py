@@ -5,8 +5,9 @@ import pytest
 
 from gatevm import transpiler
 from gatevm.circuit import Circuit, GATES_2Q, instr
-from gatevm.qpu import QpuModel, heavy_hex_qpu, line_qpu, preset_qpu
-from gatevm.runtime import metric_proxy
+from gatevm.codegen import generate
+from gatevm.qpu import QpuError, QpuModel, heavy_hex_qpu, line_qpu, preset_qpu
+from gatevm.runtime import metric_proxy, schedule
 from gatevm.sim import SignedDistribution, linf_distance, run_exact
 from gatevm.transpiler import (
     TranspileError,
@@ -16,6 +17,7 @@ from gatevm.transpiler import (
     hellinger_fidelity,
     map_and_route,
 )
+from gatevm.vc import from_circuit
 
 from helpers import (bench_family_programs, random_circuit, reference_esp,
                      reference_map_and_route)
@@ -161,6 +163,19 @@ def test_routing_follows_a_changed_coupling_list():
     assert_same_route(got, reference_map_and_route(c, qpu))
     fresh = QpuModel(qpu.name, 3, [(0, 1), (1, 2), (0, 2)], qpu.error_rates)
     assert_same_route(got, map_and_route(c, fresh))
+
+
+@pytest.mark.parametrize("edge, message", [((1, 1), r"\(1, 1\) is a self-loop"),
+                                           ((1, 5), r"\(1, 5\) out of range")])
+def test_routing_and_scheduling_refuse_an_appended_bad_edge(edge, message):
+    c = Circuit(3, [instr("cx", 0, 1), instr("cx", 1, 2), instr("cx", 0, 2)])
+    prog = generate(from_circuit(c))
+    qpu = rated_line(3)
+    qpu.coupling.append(edge)
+    with pytest.raises(QpuError, match=message):
+        map_and_route(c, qpu)
+    with pytest.raises(QpuError, match=message):
+        schedule(prog, [qpu], 0.5, 0.5)
 
 
 def test_routing_refuses_disconnected_qubits():
