@@ -17,8 +17,8 @@ import numpy as np
 from networkx.algorithms.community import kernighan_lin_bisection
 
 from .circuit import instr
-from .vc import (Gate2, VirtualCircuit, VirtualSide, dependency_masks,
-                 dependency_pairs, element_wires, virt_between, virt_gate)
+from .vc import (Gate2, VirtualCircuit, VirtualSide, dependency_pairs,
+                 element_wires, virt_between, virt_gate)
 
 EXACT_CUT_MAX_QUBITS = 14
 EXACT_DR_MAX_GATES = 16
@@ -182,16 +182,13 @@ def _kl_cut_plan(graph: nx.Graph, s: int,
         sub = nx.Graph()
         sub.add_nodes_from(work.subgraph(target))
         sub.add_edges_from(e for e in work.edges(data=True) if e[0] in target)
-        best = None
-        for _ in range(KL_RESTARTS):
-            part = kernighan_lin_bisection(
-                sub, weight="weight", seed=rng.randrange(2**32))
-            cost = sum(w for u, v, w in sub.edges(data="weight")
-                       if (u in part[0]) != (v in part[0]))
-            if best is None or cost < best[0]:
-                best = (cost, part)
-        _, (v1, v2) = best
-        crossing = sorted((min(u, v), max(u, v)) for u, v in sub.edges
+        edges = list(sub.edges(data="weight"))
+        bisections = [kernighan_lin_bisection(sub, weight="weight",
+                                              seed=rng.randrange(2**32))
+                      for _ in range(KL_RESTARTS)]
+        v1, _ = min(bisections, key=lambda part: sum(  # the first cheapest
+            w for u, v, w in edges if (u in part[0]) != (v in part[0])))
+        crossing = sorted((min(u, v), max(u, v)) for u, v, _ in edges
                           if (u in v1) != (v in v1))
         removed.extend(crossing)
         work.remove_edges_from(crossing)
@@ -319,59 +316,68 @@ def reduce_dependencies_greedy(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCi
 # ---------------------------------------------------------------------------
 # qubit reuser
 
-def _closure_of_wire(instructions: list, wire: int) -> set[int]:
-    """Indices of all instructions the given wire's content depends on,
-    including the wire's own instructions (per-wire chains plus two-qubit
-    joins define the dependency DAG).
-
-    One reverse walk: an instruction joins when it shares a wire with an
-    instruction that already joined (or acts on ``wire``), because it then
-    precedes that instruction on the shared wire.
-    """
-    needed = {wire}
-    closure: set[int] = set()
-    for i in range(len(instructions) - 1, -1, -1):
-        wires = element_wires(instructions[i])
-        if not needed.isdisjoint(wires):
-            closure.add(i)
-            needed.update(wires)
-    return closure
-
-
-def _wire_dependencies(instructions: list) -> dict[int, int]:
-    """Per wire, a bitmask of the wires its content depends on: the wires of
-    every instruction in :func:`_closure_of_wire`, from one forward sweep."""
-    return dependency_masks(map(element_wires, instructions))
+def _wire_closures(instructions: list) -> tuple[dict[int, int], dict[int, int]]:
+    """Per wire, the bitmasks of the wires and of the stream positions its
+    content depends on, its own included, from one forward sweep: an element
+    ORs its wires' masks and stores the result on each of them."""
+    dep: dict[int, int] = {}
+    anc: dict[int, int] = {}
+    for i, x in enumerate(instructions):
+        wires = element_wires(x)
+        mask, elements = 0, 1 << i
+        for w in wires:
+            mask |= dep.get(w, 0) | (1 << w)
+            elements |= anc.get(w, 0)
+        for w in wires:
+            dep[w] = mask
+            anc[w] = elements
+    return dep, anc
 
 
-def _relabel_wire(x, src: int, dst: int):
-    if isinstance(x, VirtualSide):
-        return replace(x, qubit=dst) if x.qubit == src else x
-    if isinstance(x, Gate2):
-        if src in x.qubits:
-            return replace(x, qubits=tuple(dst if q == src else q for q in x.qubits))
+def _merge_closures(dep: dict[int, int], anc: dict[int, int],
+                    target: int, source: int, reset: int) -> None:
+    """Update :func:`_wire_closures` in place for merging ``source`` onto
+    ``target`` with a reset of element id ``reset``: whatever depended on
+    the source now also depends on the target's history and reset, and, as
+    the target does not depend on the source, nothing else changes."""
+    bit = 1 << source
+    head_dep = dep.get(target, 0) | (1 << target)
+    head_anc = anc.get(target, 0) | (1 << reset)
+    for w, mask in dep.items():
+        if mask & bit and w != source:
+            dep[w] = mask & ~bit | head_dep
+            anc[w] |= head_anc
+    dep[target] = dep.pop(source, 0) & ~bit | head_dep
+    anc[target] = anc.pop(source, 0) | head_anc
+
+
+def _renamed(x, rename: dict[int, int]):
+    wires = element_wires(x)
+    if rename.keys().isdisjoint(wires):
         return x
-    if src in x.qubits:
-        return x.remap({q: (dst if q == src else q) for q in x.qubits})
-    return x
+    if isinstance(x, VirtualSide):
+        return replace(x, qubit=rename[x.qubit])
+    return replace(x, qubits=tuple(rename.get(w, w) for w in wires))
 
 
-def _merge_wires(vc: VirtualCircuit, target: int, source: int) -> None:
-    """Measure and reset the target wire, then run the source wire on it.
-
-    The stream is reordered into [everything the target wire depends on]
-    [reset target] [the rest, with the source wire relabeled]; per-wire
-    instruction order is preserved, so every instantiation stays
-    semantically identical.
-    """
-    closure = _closure_of_wire(vc.instructions, target)
-    head = [x for i, x in enumerate(vc.instructions) if i in closure]
-    tail = [_relabel_wire(x, source, target)
-            for i, x in enumerate(vc.instructions) if i not in closure]
-    vc.instructions = head + [instr("reset", target)] + tail
-    for q, w in vc.wire_of.items():
-        if w == source:
-            vc.wire_of[q] = target
+def _merged_stream(instructions: list, merges: list[tuple[int, int]],
+                   rename: dict[int, int]) -> list:
+    """The stream after ``merges`` (target, head), each of which stably
+    partitioned it into [head: what the target depends on] [reset target]
+    [the rest], and ``rename``, their wire renames composed. The partitions
+    compose into one sort: by the last merge's class (head 0, reset 1, rest
+    2), then each earlier one's, then the position. A merge's reset is alone
+    in its class, so its keys from before it existed are never compared."""
+    size = len(instructions) + len(merges)
+    nbytes = (size + 7) // 8
+    heads = np.frombuffer(b"".join(head.to_bytes(nbytes, "little")
+                                   for _, head in merges), dtype=np.uint8)
+    classes = 2 - 2 * np.unpackbits(heads.reshape(len(merges), nbytes), axis=1,
+                                    count=size, bitorder="little")
+    np.fill_diagonal(classes[:, len(instructions):], 1)
+    order = np.lexsort(np.vstack([np.arange(size), classes]))
+    elements = instructions + [instr("reset", target) for target, _ in merges]
+    return [_renamed(elements[i], rename) for i in order.tolist()]
 
 
 def reuse_qubits(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
@@ -379,27 +385,36 @@ def reuse_qubits(vc: VirtualCircuit, cfg: PassConfig) -> VirtualCircuit:
 
     A wire pair (w_t, w_s) inside one fragment is reusable when nothing on
     w_t depends on w_s, so that w_t can finish, be measured and reset, and
-    then carry w_s's operations. Before any merge this is exactly the
-    qubit-dependency test; afterwards it is evaluated on the instruction
-    stream, because an earlier merge serializes its wire's history and that
-    ordering must constrain later merges. Raises
+    then carry w_s's operations. The test reads the stream that the earlier
+    merges produce, as a merge serializes its wire's history: one sweep
+    gives each wire its dependencies, each merge updates them in closed
+    form, and the stream is rewritten once at the end. Raises
     :class:`WidthUnreachableError` when a fragment stays wider than the
     target and no pair is reusable.
     """
     rng = random.Random(cfg.seed)
     out = vc.copy()
-    for frag_index in range(len(out.fragments)):
+    dep, anc = _wire_closures(out.instructions)
+    merges: list[tuple[int, int]] = []
+    for frag in out.fragments:
         while True:
-            frag = out.fragments[frag_index]
-            if frag.width <= cfg.max_fragment_size:
+            wires = tuple(sorted({out.wire_of[q] for q in frag.qubits}))
+            if len(wires) <= cfg.max_fragment_size:
                 break
-            pair = _reuse_pair(frag.wires, _wire_dependencies(out.instructions),
-                               rng)
+            pair = _reuse_pair(wires, dep, rng)
             if pair is None:
                 raise WidthUnreachableError(
-                    f"fragment {frag.index} stuck at width {frag.width} > "
+                    f"fragment {frag.index} stuck at width {len(wires)} > "
                     f"{cfg.max_fragment_size}: no reusable wire pair")
-            _merge_wires(out, *pair)
+            target, source = pair
+            merges.append((target, anc.get(target, 0)))
+            _merge_closures(dep, anc, target, source,
+                            len(out.instructions) + len(merges) - 1)
+            out.wire_of.update({q: target for q, w in out.wire_of.items() if w == source})
+    if merges:
+        rename = {w: out.wire_of[q] for q, w in vc.wire_of.items()
+                  if w != out.wire_of[q]}
+        out.instructions = _merged_stream(out.instructions, merges, rename)
     return out
 
 

@@ -14,9 +14,11 @@ split into contiguous ranges across a process pool.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,7 +351,8 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
     matrix product of the last fragment's transposed rows with it; a
     one-instance chunk adds their outer product, computed elementwise. The
     coefficient vector is split into ``workers`` contiguous ranges whose
-    accumulators are added. Keys are computed for the kept entries only.
+    accumulators are added in worker order as they arrive. Keys are
+    computed for the kept entries only.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -371,16 +374,11 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
     ranges = [(bounds[w], bounds[w + 1], coeffs.values, tables)
               for w in range(workers) if bounds[w] < bounds[w + 1]]
     if len(ranges) <= 1:
-        parts = [_knit_range(r) for r in ranges]
+        values = functools.reduce(operator.iadd, map(_knit_range, ranges))
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_knit_range, ranges)
-
-    values = parts[0]  # summed in place, in worker order
-    for part in parts[1:]:
-        values += part
-    del parts
+            values = functools.reduce(operator.iadd, pool.imap(_knit_range, ranges))
     # One accumulator axis per fragment, the first fastest. Each fragment's
     # union, broadcast along its axis, is read at the kept entries only;
     # fragments own disjoint output bits, so the OR of those reads is unique.

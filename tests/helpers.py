@@ -16,12 +16,17 @@ graph predecessors and successors). That graph is built gate by gate in id
 order and then relinked around each virtual gate, without reading the
 stream's order. The router and the scheduler are checked against versions
 that rebuild the coupling graph, its all-pairs distances and every SWAP
-path on each call and look up every instruction's error rate.
+path on each call and look up every instruction's error rate. The QASM
+statement scanner is checked against the token parser it replaced, and
+the one-pass qubit reuser against the reuser that swept the stream for
+wire masks before each merge and rewrote the stream at each merge.
 """
 from __future__ import annotations
 
+import ast
 import math
 import random
+import re
 
 from dataclasses import replace
 
@@ -30,9 +35,10 @@ import numpy as np
 from networkx.algorithms.community import kernighan_lin_bisection
 
 from gatevm import runtime
-from gatevm.circuit import Circuit, GATES_2Q
+from gatevm.circuit import Circuit, GATES_1Q, GATES_2Q, ROTATIONS, Instruction, instr
 from gatevm.codegen import ParamCircuit, Placeholder
-from gatevm.vc import Gate2
+from gatevm.qasm import QasmIndexError, QasmSyntaxError, UnsupportedGateError
+from gatevm.vc import Gate2, VirtualSide, dependency_masks, element_wires
 
 _S2 = 1.0 / math.sqrt(2.0)
 H = np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex)
@@ -496,6 +502,72 @@ def reference_reuse_pair(wires: tuple[int, ...], dep: dict[int, int],
     return rng.choice(candidates) if candidates else None
 
 
+# ---------------------------------------------------------------------------
+# the qubit reuser before one-pass merging
+
+def reference_closure_of_wire(instructions: list, wire: int) -> set[int]:
+    """Indices of all instructions the given wire's content depends on,
+    including the wire's own instructions, from one reverse walk: an
+    instruction joins when it shares a wire with one that already joined
+    (or acts on ``wire``)."""
+    needed = {wire}
+    closure: set[int] = set()
+    for i in range(len(instructions) - 1, -1, -1):
+        wires = element_wires(instructions[i])
+        if not needed.isdisjoint(wires):
+            closure.add(i)
+            needed.update(wires)
+    return closure
+
+
+def _reference_relabel_wire(x, src: int, dst: int):
+    if isinstance(x, VirtualSide):
+        return replace(x, qubit=dst) if x.qubit == src else x
+    if isinstance(x, Gate2):
+        if src in x.qubits:
+            return replace(x, qubits=tuple(dst if q == src else q for q in x.qubits))
+        return x
+    if src in x.qubits:
+        return x.remap({q: (dst if q == src else q) for q in x.qubits})
+    return x
+
+
+def reference_merge_wires(vc, target: int, source: int) -> None:
+    """Measure and reset the target wire, then run the source wire on it:
+    the stream becomes [everything the target wire depends on] [reset
+    target] [the rest, with the source wire relabeled]."""
+    closure = reference_closure_of_wire(vc.instructions, target)
+    head = [x for i, x in enumerate(vc.instructions) if i in closure]
+    tail = [_reference_relabel_wire(x, source, target)
+            for i, x in enumerate(vc.instructions) if i not in closure]
+    vc.instructions = head + [instr("reset", target)] + tail
+    for q, w in vc.wire_of.items():
+        if w == source:
+            vc.wire_of[q] = target
+
+
+def reference_reuse_qubits(vc, cfg):
+    """Qubit reuse that sweeps the whole stream for wire dependency masks
+    before each merge and rewrites the stream at each merge."""
+    from gatevm.passes import WidthUnreachableError, _reuse_pair
+
+    rng = random.Random(cfg.seed)
+    out = vc.copy()
+    for frag_index in range(len(out.fragments)):
+        while True:
+            frag = out.fragments[frag_index]
+            if frag.width <= cfg.max_fragment_size:
+                break
+            dep = dependency_masks(map(element_wires, out.instructions))
+            pair = _reuse_pair(frag.wires, dep, rng)
+            if pair is None:
+                raise WidthUnreachableError(
+                    f"fragment {frag.index} stuck at width {frag.width} > "
+                    f"{cfg.max_fragment_size}: no reusable wire pair")
+            reference_merge_wires(out, *pair)
+    return out
+
+
 _SELF_INVERSE = frozenset({"h", "x", "y", "z", "cx", "cz"})
 _MERGEABLE = frozenset({"rx", "ry", "rz", "rzz"})
 
@@ -825,6 +897,30 @@ def reference_schedule(program, qpus, alpha: float, beta: float,
     return assignment
 
 
+def bench_family_configs(rng: random.Random, count: int, max_qubits: int = 16):
+    """``count`` pairs of an IR after the cutter and the dependency reducer
+    and its pass settings, for random bench-family circuits under random
+    settings (pass seeds 0-2); specs the generator refuses are skipped."""
+    from gatevm.bench import (FAMILIES, BenchmarkError, BenchmarkSpec,
+                              generate_benchmark)
+    from gatevm.passes import PassConfig, run_pipeline
+    from gatevm.vc import from_circuit
+
+    configs = []
+    while len(configs) < count:
+        n = rng.randint(4, max_qubits)
+        spec = BenchmarkSpec(rng.choice(FAMILIES), n, rng.randint(1, 3),
+                             seed=rng.randrange(100))
+        cfg = PassConfig(max_fragment_size=rng.randint(2, n - 1),
+                         budget=rng.randint(0, 4), seed=rng.randrange(3))
+        try:
+            circuit = generate_benchmark(spec)
+        except BenchmarkError:
+            continue
+        configs.append((run_pipeline(from_circuit(circuit), cfg, ("cc", "dr")), cfg))
+    return configs
+
+
 def bench_family_programs(rng: random.Random, count: int, max_qubits: int = 16):
     """``count`` compiled programs of random bench-family circuits under
     random pass settings; specs and settings that are refused are skipped."""
@@ -848,3 +944,249 @@ def bench_family_programs(rng: random.Random, count: int, max_qubits: int = 16):
         except (BenchmarkError, WidthUnreachableError, WireSplitError):
             continue
     return programs
+
+
+# ---------------------------------------------------------------------------
+# the QASM parser before the statement scanner
+
+_REF_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<comment>//[^\n]*)"
+    r"|(?P<real>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<arrow>->)"
+    r"|(?P<str>\"[^\"]*\")"
+    r"|(?P<sym>[()\[\]{},;+\-*/^=<>.])"
+)
+
+_REF_KEYWORDS = {"OPENQASM", "qreg", "creg", "measure", "reset", "barrier", "include"}
+
+
+class _RefToken:
+    __slots__ = ("text", "line", "column")
+
+    def __init__(self, text: str, line: int, column: int):
+        self.text = text
+        self.line = line
+        self.column = column
+
+
+def _ref_tokenize(text: str) -> list[_RefToken]:
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QasmSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(_RefToken(lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, tokens: list[_RefToken]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def _here(self) -> tuple[int, int]:
+        if self.pos < len(self.tokens):
+            t = self.tokens[self.pos]
+            return t.line, t.column
+        if self.tokens:
+            t = self.tokens[-1]
+            return t.line, t.column + len(t.text)
+        return 1, 1
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
+
+    def next(self, expected: str | None = None) -> _RefToken:
+        if self.pos >= len(self.tokens):
+            line, col = self._here()
+            raise QasmSyntaxError(
+                f"unexpected end of input (expected {expected or 'token'})", line, col
+            )
+        tok = self.tokens[self.pos]
+        if expected is not None and tok.text != expected:
+            raise QasmSyntaxError(
+                f"expected {expected!r}, got {tok.text!r}", tok.line, tok.column
+            )
+        self.pos += 1
+        return tok
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+
+def _ref_eval_angle(expr_text: str, line: int, col: int) -> float:
+    try:
+        tree = ast.parse(expr_text, mode="eval")
+    except SyntaxError:
+        raise QasmSyntaxError(f"bad angle expression {expr_text!r}", line, col)
+
+    def ev(node) -> float:
+        if isinstance(node, ast.Expression):
+            return ev(node.body)
+        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return math.pi
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            v = ev(node.operand)
+            return -v if isinstance(node.op, ast.USub) else v
+        if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
+        ):
+            a, b = ev(node.left), ev(node.right)
+            if isinstance(node.op, ast.Add):
+                return a + b
+            if isinstance(node.op, ast.Sub):
+                return a - b
+            if isinstance(node.op, ast.Mult):
+                return a * b
+            return a / b
+        raise QasmSyntaxError(f"bad angle expression {expr_text!r}", line, col)
+
+    return ev(tree)
+
+
+def reference_parse_qasm(text: str, name: str = "circuit") -> Circuit:
+    """The token-level parser that the statement scanner replaced: tokenize
+    the whole text, then parse the token list. Raises the frontend's error
+    classes at the same lines and columns."""
+    p = _RefParser(_ref_tokenize(text))
+    tok = p.next("OPENQASM")
+    version = p.next()
+    if version.text != "2.0":
+        raise QasmSyntaxError(f"unsupported version {version.text!r}",
+                              version.line, version.column)
+    p.next(";")
+
+    qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
+    cregs: dict[str, tuple[int, int]] = {}
+    num_qubits = 0
+    num_clbits = 0
+    instructions: list[Instruction] = []
+
+    def parse_ref(regs: dict[str, tuple[int, int]], what: str) -> int:
+        tok = p.next()
+        if tok.text not in regs:
+            raise QasmSyntaxError(f"unknown {what} register {tok.text!r}",
+                                  tok.line, tok.column)
+        offset, size = regs[tok.text]
+        p.next("[")
+        idx_tok = p.next()
+        if not idx_tok.text.isdigit():
+            raise QasmSyntaxError(f"expected index, got {idx_tok.text!r}",
+                                  idx_tok.line, idx_tok.column)
+        idx = int(idx_tok.text)
+        if idx >= size:
+            raise QasmIndexError(
+                f"index {idx} out of range for {what} register "
+                f"{tok.text!r} of size {size}", idx_tok.line, idx_tok.column)
+        p.next("]")
+        return offset + idx
+
+    while not p.at_end():
+        head = p.next()
+        if head.text == "qreg" or head.text == "creg":
+            name_tok = p.next()
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name_tok.text):
+                raise QasmSyntaxError(f"bad register name {name_tok.text!r}",
+                                      name_tok.line, name_tok.column)
+            p.next("[")
+            size_tok = p.next()
+            if not size_tok.text.isdigit():
+                raise QasmSyntaxError(f"expected register size, got {size_tok.text!r}",
+                                      size_tok.line, size_tok.column)
+            size = int(size_tok.text)
+            p.next("]")
+            p.next(";")
+            if head.text == "qreg":
+                if name_tok.text in qregs:
+                    raise QasmSyntaxError(f"duplicate qreg {name_tok.text!r}",
+                                          name_tok.line, name_tok.column)
+                qregs[name_tok.text] = (num_qubits, size)
+                num_qubits += size
+            else:
+                if name_tok.text in cregs:
+                    raise QasmSyntaxError(f"duplicate creg {name_tok.text!r}",
+                                          name_tok.line, name_tok.column)
+                cregs[name_tok.text] = (num_clbits, size)
+                num_clbits += size
+        elif head.text == "include":
+            raise QasmSyntaxError("include statements are not supported",
+                                  head.line, head.column)
+        elif head.text == "measure":
+            q = parse_ref(qregs, "quantum")
+            p.next("->")
+            c = parse_ref(cregs, "classical")
+            p.next(";")
+            instructions.append(instr("measure", q, clbit=c))
+        elif head.text == "reset":
+            q = parse_ref(qregs, "quantum")
+            p.next(";")
+            instructions.append(instr("reset", q))
+        elif head.text == "barrier":
+            qs = [parse_ref(qregs, "quantum")]
+            if p.peek() == ",":
+                p.next(",")
+                qs.append(parse_ref(qregs, "quantum"))
+            p.next(";")
+            instructions.append(instr("barrier", *qs))
+        elif head.text in GATES_1Q or head.text in GATES_2Q:
+            kind = head.text
+            angle = None
+            if p.peek() == "(":
+                p.next("(")
+                start_tok = p.next()
+                parts, depth = [start_tok.text], 0
+                while True:
+                    nxt = p.peek()
+                    if nxt is None:
+                        raise QasmSyntaxError("unterminated angle expression",
+                                              start_tok.line, start_tok.column)
+                    if nxt == "(":
+                        depth += 1
+                    elif nxt == ")":
+                        if depth == 0:
+                            break
+                        depth -= 1
+                    parts.append(p.next().text)
+                p.next(")")
+                angle = _ref_eval_angle("".join(parts), start_tok.line, start_tok.column)
+            if angle is None and kind in ROTATIONS:
+                raise QasmSyntaxError(f"{kind} requires an angle", head.line, head.column)
+            if angle is not None and kind not in ROTATIONS:
+                raise QasmSyntaxError(f"{kind} takes no angle", head.line, head.column)
+            qs = [parse_ref(qregs, "quantum")]
+            while p.peek() == ",":
+                p.next(",")
+                qs.append(parse_ref(qregs, "quantum"))
+            p.next(";")
+            want = 2 if kind in GATES_2Q else 1
+            if len(qs) != want:
+                raise QasmSyntaxError(
+                    f"{kind} takes {want} qubit argument(s), got {len(qs)}",
+                    head.line, head.column)
+            if want == 2 and qs[0] == qs[1]:
+                raise QasmSyntaxError(f"{kind} qubits must be distinct",
+                                      head.line, head.column)
+            instructions.append(instr(kind, *qs, angle=angle))
+        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", head.text) and \
+                head.text not in _REF_KEYWORDS:
+            raise UnsupportedGateError(head.text, head.line, head.column)
+        else:
+            raise QasmSyntaxError(f"unexpected token {head.text!r}",
+                                  head.line, head.column)
+
+    return Circuit(num_qubits, instructions, name=name,
+                   num_clbits=num_clbits).validate()

@@ -65,6 +65,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ccx" in capsys.readouterr().err
 
 
+def test_parse_reports_a_bad_angle_without_a_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text("OPENQASM 2.0;\nqreg q[1];\nrx(1/0) q[0];\n")
+    assert main(["parse", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3, column 4: ")
+
+
 def test_compile_and_run(tmp_path, ghz_file, capsys):
     prog = tmp_path / "prog.json"
     assert main(["compile", str(ghz_file), "--max-fragment-size", "3",

@@ -24,11 +24,11 @@ from gatevm.passes import (
     reuse_qubits,
     run_pipeline,
     solve_cut_exact,
-    _closure_of_wire,
     _kl_cut_plan,
-    _merge_wires,
+    _merge_closures,
+    _merged_stream,
     _reuse_pair,
-    _wire_dependencies,
+    _wire_closures,
 )
 from gatevm.sim import run_exact, run_sampled, total_variation
 from gatevm.vc import (VirtualSide, element_wires, from_circuit,
@@ -41,10 +41,12 @@ from fixtures import (
     fully_dependent_circuit,
     two_cluster_circuit,
 )
-from helpers import (brute_force_min_cut, random_circuit, reference_closure,
+from helpers import (bench_family_configs, brute_force_min_cut, random_circuit,
+                     reference_closure, reference_closure_of_wire,
                      reference_dependency_pairs, reference_gate_costs,
-                     reference_kl_cut_plan, reference_op_graph,
-                     reference_reuse_pair)
+                     reference_kl_cut_plan, reference_merge_wires,
+                     reference_op_graph, reference_reuse_pair,
+                     reference_reuse_qubits)
 
 
 def random_weighted_graph(rng, n):
@@ -518,7 +520,8 @@ def test_reuse_respects_serialization_from_earlier_merges():
 def _random_streams(rng):
     """Instruction streams of one random circuit with barriers and some
     virtualized gates: as built, then after each of up to three merges of a
-    pair the reference closure allows."""
+    pair the reference closure allows. Yields the width, the stream and the
+    merges so far as (target, source)."""
     n = rng.randint(2, 7)
     c = random_circuit(rng, n, rng.randint(4, 30))
     for _ in range(rng.randint(0, 3)):
@@ -528,7 +531,8 @@ def _random_streams(rng):
     vc = from_circuit(c)
     for gid in rng.sample(sorted(vc.gate_qubits), len(vc.gate_qubits) // 3):
         virt_gate(vc, gid)
-    yield n, list(vc.instructions)
+    merges = []
+    yield n, list(vc.instructions), list(merges)
     for _ in range(3):
         pairs = []
         live = sorted(set(vc.wire_of.values()))
@@ -539,19 +543,24 @@ def _random_streams(rng):
                          if w_s != w_t and w_s not in blocked)
         if not pairs:
             return
-        _merge_wires(vc, *rng.choice(pairs))
-        yield n, list(vc.instructions)
+        pair = rng.choice(pairs)
+        reference_merge_wires(vc, *pair)
+        merges.append(pair)
+        yield n, list(vc.instructions), list(merges)
 
 
 def test_wire_closure_and_masks_match_reference():
+    # Per wire, the stream positions of its closure and the wires they act
+    # on, from one sweep; the reverse walk the reuser used before agrees.
     rng = random.Random(2026)
     kinds = {"side": 0, "barrier": 0, "reset": 0}
     for _ in range(80):
-        for n, stream in _random_streams(rng):
-            dep = _wire_dependencies(stream)
+        for n, stream, _ in _random_streams(rng):
+            dep, anc = _wire_closures(stream)
             for w in range(n):
                 closure = reference_closure(stream, w)
-                assert _closure_of_wire(stream, w) == closure
+                assert reference_closure_of_wire(stream, w) == closure
+                assert anc.get(w, 0) == sum(1 << i for i in closure)
                 wires = {v for i in closure for v in element_wires(stream[i])}
                 assert dep.get(w, 0) == sum(1 << v for v in wires)
             for x in stream:
@@ -562,6 +571,61 @@ def test_wire_closure_and_masks_match_reference():
     assert all(count > 20 for count in kinds.values()), kinds
 
 
+def test_merge_updates_match_a_fresh_sweep():
+    # The closed-form update after each merge gives the masks of a fresh
+    # sweep over the merged stream, and each merge's head (what the target
+    # depends on) has the reference closure's size; the composed partitions
+    # and renames give the merged stream.
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(200):
+        streams = _random_streams(rng)
+        _, first, _ = next(streams)
+        dep, anc = _wire_closures(first)
+        before = first
+        done = []
+        for _, stream, merges in streams:
+            target, source = merges[-1]
+            head = anc.get(target, 0)
+            assert head.bit_count() == len(reference_closure(before, target))
+            done.append((target, head))
+            _merge_closures(dep, anc, target, source, len(first) + len(done) - 1)
+            assert dep == _wire_closures(stream)[0]
+            rename = {}
+            for t, s in merges:
+                rename = {w: t if v == s else v for w, v in rename.items()}
+                rename[s] = t
+            assert _merged_stream(first, done, rename) == stream
+            before = stream
+            checked += 1
+    assert checked >= 150, checked
+
+
+def test_reuse_matches_reference_on_bench_family_configurations():
+    # One sweep, closed-form updates and one rewrite give the stream and
+    # wire map of sweeping and rewriting at each merge, and the same refusals.
+    rng = random.Random(15)
+    seen = {"merged": 0, "merges": 0, "refused": 0}
+    for vc, pass_cfg in bench_family_configs(rng, 300):
+        results = []
+        for reuse in (reuse_qubits, reference_reuse_qubits):
+            try:
+                out = reuse(vc, pass_cfg)
+            except WidthUnreachableError as exc:
+                results.append(str(exc))
+            else:
+                results.append((out.instructions, out.wire_of))
+        assert results[0] == results[1]
+        if isinstance(results[0], str):
+            seen["refused"] += 1
+        else:
+            merges = vc.num_qubits - len(set(results[0][1].values()))
+            seen["merged"] += merges > 0
+            seen["merges"] += merges
+    assert seen["merged"] >= 50 and seen["merges"] >= 150, seen
+    assert seen["refused"] >= 40, seen
+
+
 def test_reuse_pair_matches_list_reference(monkeypatch):
     # The same pair and the same generator state as rng.choice over the
     # listed pairs: on the wires and masks of random streams, on random
@@ -569,9 +633,9 @@ def test_reuse_pair_matches_list_reference(monkeypatch):
     rng = random.Random(77)
     cases = []
     for _ in range(60):
-        for n, stream in _random_streams(rng):
+        for n, stream, _ in _random_streams(rng):
             wires = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
-            cases.append((wires, _wire_dependencies(stream)))
+            cases.append((wires, _wire_closures(stream)[0]))
     for _ in range(300):
         wires = tuple(sorted(rng.sample(range(64), rng.randint(1, 30))))
         cases.append((wires, {w: rng.getrandbits(64) & rng.getrandbits(64)

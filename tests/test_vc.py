@@ -5,7 +5,7 @@ import pytest
 
 from gatevm.circuit import Circuit, instr
 from gatevm.passes import (PassConfig, WidthUnreachableError, WireSplitError,
-                           _merge_wires, reuse_qubits, run_pipeline)
+                           reuse_qubits, run_pipeline)
 from gatevm.vc import (
     Gate2,
     VcError,
@@ -21,7 +21,8 @@ from gatevm.vc import (
 )
 
 from fixtures import dep_showcase_circuit, two_cluster_circuit, TWO_CLUSTER_CUT_EDGES
-from helpers import closure_dependencies, random_circuit, reference_op_graph
+from helpers import (closure_dependencies, random_circuit, reference_merge_wires,
+                     reference_op_graph)
 
 
 def bell_vc():
@@ -311,7 +312,7 @@ def test_mutating_a_copy_leaves_the_original_unchanged():
     before = snapshot(vc)
     for mutate in (
             lambda c: virt_gate(c, 3),
-            lambda c: _merge_wires(c, 0, 2),  # reorders the stream, rewrites wire_of
+            lambda c: reference_merge_wires(c, 0, 2),  # reorders the stream, rewrites wire_of
             lambda c: c.qubit_graph.edges[0, 1].update(weight=99)):
         copy = vc.copy()
         mutate(copy)
