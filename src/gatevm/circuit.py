@@ -114,16 +114,3 @@ class Circuit:
         return [(i, ins) for i, ins in enumerate(self.instructions)
                 if ins.kind in GATES_2Q]
 
-
-def circuits_equal(a: Circuit, b: Circuit, angle_tol: float = 1e-12) -> bool:
-    """Structural equality with an angle tolerance."""
-    if a.num_qubits != b.num_qubits or len(a.instructions) != len(b.instructions):
-        return False
-    for x, y in zip(a.instructions, b.instructions):
-        if (x.kind, x.qubits, x.clbit, x.sign) != (y.kind, y.qubits, y.clbit, y.sign):
-            return False
-        if (x.angle is None) != (y.angle is None):
-            return False
-        if x.angle is not None and abs(x.angle - y.angle) > angle_tol:
-            return False
-    return True

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, instr
+from .circuit import Circuit, Instruction
 from .decomp import LocalAction
 from .qasm import emit_qasm, parse_qasm
 from .vc import Gate2, VirtualCircuit, VirtualSide, element_wires
@@ -85,32 +85,6 @@ class ParamCircuit:
         return Circuit(self.num_qubits, out, name=self.name,
                        num_clbits=self.num_clbits).validate()
 
-    def reinlined(self, vgate_info: dict[int, tuple[str, float | None]]) -> Circuit:
-        """Replace placeholder pairs by their original two-qubit gates.
-
-        Only valid when every touching gate has both sides in this fragment.
-        """
-        out: list[Instruction] = []
-        pending: dict[int, tuple[str, int]] = {}
-        for el in self.elements:
-            if not isinstance(el, Placeholder):
-                out.append(el)
-                continue
-            if el.gate_id not in pending:
-                pending[el.gate_id] = (el.side, el.qubit)
-                continue
-            other_side, other_qubit = pending.pop(el.gate_id)
-            if other_side == el.side:
-                raise CodegenError(f"duplicate side for gate {el.gate_id}")
-            kind, angle = vgate_info[el.gate_id]
-            qa, qb = ((other_qubit, el.qubit) if other_side == "a"
-                      else (el.qubit, other_qubit))
-            out.append(instr(kind, qa, qb, angle=angle))
-        if pending:
-            raise CodegenError(
-                f"gates {sorted(pending)} span another fragment; cannot re-inline")
-        return Circuit(self.num_qubits, out, name=self.name,
-                       num_clbits=self.num_clbits).validate()
 
 
 @dataclass

@@ -56,9 +56,6 @@ class LocalAction:
                 out.append(instr(op.kind, qubit, angle=op.angle))
         return out
 
-    @property
-    def has_measurement(self) -> bool:
-        return any(op.kind == "measure" for op in self.ops)
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,6 @@ class GateDecomposition:
     def coefficient_sum(self) -> float:
         return float(sum(e.coeff for e in self.entries))
 
-    def sampling_overhead(self) -> float:
-        """Sum of |c_i|; squares to the shot-overhead factor."""
-        return float(sum(abs(e.coeff) for e in self.entries))
 
 
 def _act(*ops: tuple[str, float | None] | str) -> LocalAction:

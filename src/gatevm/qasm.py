@@ -114,14 +114,15 @@ def _evaluate(node, expr: str) -> float:
 
 
 def _angle_value(expr: str) -> float:
-    """The value of an angle expression, whitespace and comments allowed;
-    raises one of ``_ANGLE_ERRORS`` if it is not a finite one."""
+    """The value of an angle expression; raises one of ``_ANGLE_ERRORS`` if
+    it is not a finite one. Whitespace and comments may separate tokens but
+    not two that would join into one, as ``1 2`` would into ``12``."""
     if number := _NUMBER.fullmatch(expr):
         value = float(number[1])  # float() strips fewer blanks than \s
         if not math.isfinite(value):
             raise OverflowError("not a finite number")
         return value
-    expr = _BLANK.sub("", expr)
+    expr = _BLANK.sub(" ", expr).strip(" ")
     with warnings.catch_warnings():  # Python's, about literals that fail anyway
         warnings.simplefilter("ignore", SyntaxWarning)
         tree = ast.parse(expr, mode="eval")
@@ -207,18 +208,17 @@ def _diagnose(text: str, start: int, qregs, cregs) -> NoReturn:
     elif head in _SHAPES:  # a gate: reset and barrier are handled above
         if tokens[i][0] == "(":
             take("(")
-            first_at, parts, depth = tokens[i][1], [], 0
+            first_at, depth = tokens[i][1], 0
             while (tok := tokens[i][0]) != ")" or depth:
                 if tok is None:
                     fail(QasmSyntaxError, "unterminated angle expression", first_at)
                 depth += (tok == "(") - (tok == ")")
-                parts.append(take()[0])
-            take(")")
-            try:  # spaces keep the tokens apart, as '/', '/' is not a comment
-                _angle_value(" ".join(parts))
+                take()
+            angle = text[first_at:take(")")[1]]
+            try:
+                _angle_value(angle)
             except _ANGLE_ERRORS as exc:
-                fail(QasmSyntaxError,
-                     f"bad angle expression {''.join(parts)!r}: {exc}", first_at)
+                fail(QasmSyntaxError, f"bad angle expression {angle!r}: {exc}", first_at)
             if head not in ROTATIONS:
                 fail(QasmSyntaxError, f"{head} takes no angle", head_at)
         elif head in ROTATIONS:

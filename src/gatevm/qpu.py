@@ -4,8 +4,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 
 class QpuError(ValueError):
     pass
@@ -54,11 +52,6 @@ class QpuModel:
         category = _CATEGORY_2Q if num_qubits == 2 else _CATEGORY_1Q
         return self.error_rates.get(category, 0.0)
 
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_qubits))
-        g.add_edges_from(sorted((min(a, b), max(a, b)) for a, b in self.coupling))
-        return g
 
 
 def qpu_to_dict(qpu: QpuModel) -> dict:

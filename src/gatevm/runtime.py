@@ -6,11 +6,11 @@ estimated success probability. Execution runs all instances of a fragment
 as one batched statevector evolution. The knitter reconstructs the original
 circuit's quasi-distribution by summing, over all 6^k global instances,
 the coefficient-weighted Kronecker product of per-fragment result tables
-into one accumulator. It takes many instances per array operation where
-the key unions are small: the fragments but the last build a chunk's
-weighted Kronecker prefixes, and one matrix product with the last
-fragment's rows adds the whole chunk. The global coefficient vector is
-split into contiguous ranges across a process pool.
+into one accumulator. It splits the fragments into two halves of balanced
+width, builds each half's row-wise Kronecker products for many instances
+at once, and adds a chunk of instances with one matrix product of its two
+halves. The global coefficient vector is split into contiguous ranges
+across a process pool.
 """
 from __future__ import annotations
 
@@ -33,10 +33,12 @@ from .transpiler import coupling_key, esp, map_and_route
 
 MAX_FRAGMENT_INSTANCES = 10_000_000
 # Knit accumulator entries Pi (product of the fragments' key-union sizes). A
-# worker holds the accumulator and a chunk's product with the last fragment
-# (32 MiB each at the limit), and smaller row and prefix buffers.
+# worker holds the accumulator and one chunk's product buffer (32 MiB each at
+# the limit), and one sub-block's two Kronecker halves.
 MAX_KNIT_ENTRIES = 1 << 22
-# A knit chunk spans max(1, KNIT_CHUNK_ENTRIES // Pi) global instances.
+# A knit chunk spans max(1, KNIT_CHUNK_ENTRIES // Pi) global instances. A
+# sub-block of whole chunks has its halves built together, in at most
+# KNIT_CHUNK_ENTRIES // 4 entries unless one chunk's halves need more.
 KNIT_CHUNK_ENTRIES = 1 << 16
 # Global instances whose table rows are found together, in whole chunks.
 KNIT_BLOCK = 1 << 12
@@ -293,26 +295,30 @@ def _fragment_tables(results: FragmentResults):
     return tables or [([], np.zeros(1, dtype=np.int64), np.ones((1, 1)))]
 
 
+def _kron_rows(prefix, rows):
+    """Row-wise Kronecker product with the rows' axis outside the prefix's,
+    so numpy's innermost loop is the long one."""
+    return (rows[:, :, None] * prefix[:, None, :]).reshape(len(rows), -1)
+
+
 def _knit_range(args):
     start, end, coeff, tables = args
-    *head, (_, _, last) = tables
     widths = [table.shape[1] for _, _, table in tables]
     chunk = max(1, min(KNIT_CHUNK_ENTRIES // max(math.prod(widths), 1), end - start))
     block = chunk * max(1, KNIT_BLOCK // chunk)
-    # Per fragment but the last, allocated once with a leading chunk axis: its
-    # table rows, the coefficient-weighted row-wise Kronecker product through
-    # it (its own axis outside the earlier ones, so numpy's innermost loop is
-    # the long one), and that product as the next step's left operand.
-    steps, prefix = [], 1
-    for width in widths[:-1]:
-        row, prod = np.empty((chunk, width)), np.empty((chunk, width, prefix))
-        prefix *= width
-        steps.append((row, row[:, :, None], prod, prod.reshape(chunk, 1, prefix)))
-    # The last fragment's rows meet the chunk's prefix products in one matrix
-    # product, which also sums over the chunk; its axis is the accumulator's
-    # outer one. A one-instance chunk makes that an outer product, which
-    # numpy computes faster elementwise.
-    rows, buf = np.empty((chunk, widths[-1])), np.empty((widths[-1], prefix))
+    # The fragments before the split make the left half, which leads with the
+    # coefficient, and the rest the right half; the split minimizes the sum
+    # of the halves' widths, and a lone fragment makes a right half.
+    split = min(range(len(widths)),
+                key=lambda s: math.prod(widths[:s]) + math.prod(widths[s:]))
+    left, right = math.prod(widths[:split]), math.prod(widths[split:])
+    # A sub-block: whole chunks whose halves are built together.
+    sub = chunk * max(1, KNIT_CHUNK_ENTRIES // 4 // (chunk * max(left + right, 1)))
+    # One matrix product per chunk adds the outer products of its halves'
+    # rows; a one-instance chunk makes that an outer product, which numpy
+    # computes faster elementwise. The right half's axis is the accumulator's
+    # outer one, so the first fragment stays fastest.
+    buf = np.empty((right, left))
     acc = np.zeros_like(buf)
     product = np.matmul if chunk > 1 else np.multiply
     for first in range(start, end, block):
@@ -321,17 +327,18 @@ def _knit_range(args):
         live = first + np.flatnonzero(coeff[first:min(first + block, end)])
         pad = -live.size % chunk
         weights, live = np.pad(coeff[live], (0, pad)), np.pad(live, (0, pad))
-        local = [sum((live // gs % 6 * ls for gs, ls in strides),
-                     np.zeros_like(live)).reshape(-1, chunk)
+        local = [sum((live // gs % 6 * ls for gs, ls in strides), np.zeros_like(live))
                  for strides, _, _ in tables]
-        for term, *lis in zip(weights.reshape(-1, chunk, 1, 1), *local):
-            for (row, rhs, prod, nxt), li, (_, _, table) in zip(steps, lis, head):
-                table.take(li, axis=0, out=row)
-                np.multiply(term, rhs, out=prod)
-                term = nxt
-            last.take(lis[-1], axis=0, out=rows)
-            product(rows.T, term.reshape(chunk, prefix), out=buf)
-            acc += buf
+        for lo in range(0, live.size, sub):
+            rows = [table[li[lo:lo + sub]] for (_, _, table), li in zip(tables, local)]
+            lhs = functools.reduce(_kron_rows, rows[:split], weights[lo:lo + sub, None])
+            rhs = functools.reduce(_kron_rows, rows[split:])
+            count = len(lhs) // chunk
+            for lc, rc in zip(lhs.reshape(count, chunk, left),
+                              rhs.reshape(count, chunk, right)):
+                product(rc.T, lc, out=buf)
+                acc += buf
+            del rows, lhs, rhs, lc, rc  # before the next sub-block's halves
     return acc
 
 
@@ -344,15 +351,18 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
     fragment reads the digits of the gates touching it, and fragment
     bitstrings are scattered back to original output-bit positions. One
     accumulator spans the product Pi of the fragments' key-union sizes, with
-    the last fragment's axis outermost. Each chunk of
-    max(1, KNIT_CHUNK_ENTRIES // Pi) instances with a nonzero coefficient
-    builds the coefficient-weighted row-wise Kronecker product of every
-    fragment but the last, a (chunk, Pi / |u_last|) array, and adds the
-    matrix product of the last fragment's transposed rows with it; a
-    one-instance chunk adds their outer product, computed elementwise. The
-    coefficient vector is split into ``workers`` contiguous ranges whose
-    accumulators are added in worker order as they arrive. Keys are
-    computed for the kept entries only.
+    the first fragment's axis fastest. The fragments are split in two at the
+    point that minimizes Pi_left + Pi_right, the products of the two sides'
+    key-union sizes. For a sub-block of whole chunks of
+    max(1, KNIT_CHUNK_ENTRIES // Pi) instances with a nonzero coefficient,
+    the left half is the coefficient-weighted row-wise Kronecker product of
+    the left fragments' rows, (instances, Pi_left), and the right half that
+    of the right fragments' rows, (instances, Pi_right). Each chunk adds the
+    matrix product of its transposed right half with its left half to the
+    (Pi_right, Pi_left) accumulator; a one-instance chunk adds their outer
+    product, computed elementwise. The coefficient vector is split into
+    ``workers`` contiguous ranges whose accumulators are added in worker
+    order as they arrive. Keys are computed for the kept entries only.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -290,23 +290,6 @@ def qubit_dependencies(vc: VirtualCircuit) -> set[tuple[int, int]]:
                             if isinstance(x, Gate2))
 
 
-def to_circuit(vc: VirtualCircuit) -> Circuit:
-    """Flatten a virtual-gate-free IR back into a plain circuit.
-
-    Wire ids become qubit ids; wires freed by qubit reuse stay idle.
-    """
-    out: list[Instruction] = []
-    for x in vc.instructions:
-        if isinstance(x, VirtualSide):
-            raise VcError("circuit still contains virtual gates")
-        if isinstance(x, Gate2):
-            out.append(x.to_instruction())
-        else:
-            out.append(x)
-    return Circuit(vc.num_qubits, out, name=vc.name,
-                   num_clbits=vc.num_clbits).validate()
-
-
 def operation_graph(vc: VirtualCircuit) -> nx.MultiDiGraph:
     """The operation graph, built from the stream: each real two-qubit gate
     is linked to the last real gate before it on each of its original

@@ -5,14 +5,16 @@ the package under test: dense Kronecker-product unitaries, density-matrix
 channel evolution, unpruned partition enumeration, a Floyd-Warshall
 reachability closure, and a knitter that loops over global instances in
 plain Python with dict accumulation. The knit kernel is also checked
-against the chunked kernel it replaced, which sums full-width Kronecker
-rows. The compiler's single-sweep passes are checked against the algorithms
-they replaced: a predecessor-list DFS for a wire's dependency closure, a
-peephole optimizer that repeats whole rounds until no pair is left, a
-Kernighan-Lin cut plan that bisects networkx subgraph views, and dependency
-pairs and gate costs read off an incrementally maintained operation graph
-(a topological sort with a reachability walk, and frontier sweeps over
-graph predecessors and successors). That graph is built gate by gate in id
+against the two chunked kernels it replaced: one sums full-width Kronecker
+rows, the other meets each chunk's Kronecker prefix with the last
+fragment's rows in one matrix product. The compiler's single-sweep passes
+are checked against the algorithms they replaced: a predecessor-list DFS
+for a wire's dependency closure, a peephole optimizer that repeats whole
+rounds until no pair is left, a Kernighan-Lin cut plan that bisects
+networkx subgraph views, and dependency pairs and gate costs read off an
+incrementally maintained operation graph (a topological sort with a
+reachability walk, and frontier sweeps over graph predecessors and
+successors). That graph is built gate by gate in id
 order and then relinked around each virtual gate, without reading the
 stream's order. The router and the scheduler are checked against versions
 that rebuild the coupling graph, its all-pairs distances and every SWAP
@@ -36,9 +38,85 @@ from networkx.algorithms.community import kernighan_lin_bisection
 
 from gatevm import runtime
 from gatevm.circuit import Circuit, GATES_1Q, GATES_2Q, ROTATIONS, Instruction, instr
-from gatevm.codegen import ParamCircuit, Placeholder
+from gatevm.codegen import CodegenError, ParamCircuit, Placeholder
 from gatevm.qasm import QasmIndexError, QasmSyntaxError, UnsupportedGateError
-from gatevm.vc import Gate2, VirtualSide, dependency_masks, element_wires
+from gatevm.vc import Gate2, VcError, VirtualSide, dependency_masks, element_wires
+
+# ---------------------------------------------------------------------------
+# views of library objects that only the tests read
+
+def circuits_equal(a: Circuit, b: Circuit, angle_tol: float = 1e-12) -> bool:
+    """Structural equality with an angle tolerance."""
+    if a.num_qubits != b.num_qubits or len(a.instructions) != len(b.instructions):
+        return False
+    for x, y in zip(a.instructions, b.instructions):
+        if (x.kind, x.qubits, x.clbit, x.sign) != (y.kind, y.qubits, y.clbit, y.sign):
+            return False
+        if (x.angle is None) != (y.angle is None):
+            return False
+        if x.angle is not None and abs(x.angle - y.angle) > angle_tol:
+            return False
+    return True
+
+
+def to_circuit(vc) -> Circuit:
+    """Flatten a virtual-gate-free IR back into a plain circuit.
+
+    Wire ids become qubit ids; wires freed by qubit reuse stay idle.
+    """
+    out: list[Instruction] = []
+    for x in vc.instructions:
+        if isinstance(x, VirtualSide):
+            raise VcError("circuit still contains virtual gates")
+        out.append(x.to_instruction() if isinstance(x, Gate2) else x)
+    return Circuit(vc.num_qubits, out, name=vc.name,
+                   num_clbits=vc.num_clbits).validate()
+
+
+def reinlined(pc: ParamCircuit, vgate_info) -> Circuit:
+    """A fragment with its placeholder pairs replaced by their original
+    two-qubit gates. Only valid when every touching gate has both sides in
+    the fragment."""
+    out: list[Instruction] = []
+    pending: dict[int, tuple[str, int]] = {}
+    for el in pc.elements:
+        if not isinstance(el, Placeholder):
+            out.append(el)
+            continue
+        if el.gate_id not in pending:
+            pending[el.gate_id] = (el.side, el.qubit)
+            continue
+        other_side, other_qubit = pending.pop(el.gate_id)
+        if other_side == el.side:
+            raise CodegenError(f"duplicate side for gate {el.gate_id}")
+        kind, angle = vgate_info[el.gate_id]
+        qa, qb = ((other_qubit, el.qubit) if other_side == "a"
+                  else (el.qubit, other_qubit))
+        out.append(instr(kind, qa, qb, angle=angle))
+    if pending:
+        raise CodegenError(
+            f"gates {sorted(pending)} span another fragment; cannot re-inline")
+    return Circuit(pc.num_qubits, out, name=pc.name,
+                   num_clbits=pc.num_clbits).validate()
+
+
+def coupling_graph(qpu) -> nx.Graph:
+    """A QPU's coupling graph over all of its qubits."""
+    g = nx.Graph()
+    g.add_nodes_from(range(qpu.num_qubits))
+    g.add_edges_from(sorted((min(a, b), max(a, b)) for a, b in qpu.coupling))
+    return g
+
+
+def has_measurement(action) -> bool:
+    """Whether a decomposition's local action measures its qubit."""
+    return any(op.kind == "measure" for op in action.ops)
+
+
+def sampling_overhead(decomposition) -> float:
+    """Sum of |c_i|; squares to the shot-overhead factor."""
+    return float(sum(abs(e.coeff) for e in decomposition.entries))
+
 
 _S2 = 1.0 / math.sqrt(2.0)
 H = np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex)
@@ -340,6 +418,55 @@ def reference_knit_range(args):
                 np.multiply(term, rhs, out=prod)
                 term = nxt
             acc += term[0] if chunk == 1 else np.add.reduce(term, axis=0, out=total)
+    return acc
+
+
+def reference_prefix_knit_range(args):
+    """The chunked knit kernel that the balanced two-half matrix product
+    replaced, kept as it was: every fragment but the last builds the chunk's
+    coefficient-weighted row-wise Kronecker prefix elementwise, and one
+    matrix product with the last fragment's rows adds the chunk. Same
+    arguments as ``runtime._knit_range``; returns a (|u_last|, Pi/|u_last|)
+    accumulator with the first fragment fastest. Chunk and block sizes
+    follow ``runtime``'s settings."""
+    start, end, coeff, tables = args
+    *head, (_, _, last) = tables
+    widths = [table.shape[1] for _, _, table in tables]
+    chunk = max(1, min(runtime.KNIT_CHUNK_ENTRIES // max(math.prod(widths), 1), end - start))
+    block = chunk * max(1, runtime.KNIT_BLOCK // chunk)
+    # Per fragment but the last, allocated once with a leading chunk axis: its
+    # table rows, the coefficient-weighted row-wise Kronecker product through
+    # it (its own axis outside the earlier ones, so numpy's innermost loop is
+    # the long one), and that product as the next step's left operand.
+    steps, prefix = [], 1
+    for width in widths[:-1]:
+        row, prod = np.empty((chunk, width)), np.empty((chunk, width, prefix))
+        prefix *= width
+        steps.append((row, row[:, :, None], prod, prod.reshape(chunk, 1, prefix)))
+    # The last fragment's rows meet the chunk's prefix products in one matrix
+    # product, which also sums over the chunk; its axis is the accumulator's
+    # outer one. A one-instance chunk makes that an outer product, which
+    # numpy computes faster elementwise.
+    rows, buf = np.empty((chunk, widths[-1])), np.empty((widths[-1], prefix))
+    acc = np.zeros_like(buf)
+    product = np.matmul if chunk > 1 else np.multiply
+    for first in range(start, end, block):
+        # Global instances with a nonzero coefficient, padded to whole chunks
+        # by instance 0 with weight 0, which adds exact zeros.
+        live = first + np.flatnonzero(coeff[first:min(first + block, end)])
+        pad = -live.size % chunk
+        weights, live = np.pad(coeff[live], (0, pad)), np.pad(live, (0, pad))
+        local = [sum((live // gs % 6 * ls for gs, ls in strides),
+                     np.zeros_like(live)).reshape(-1, chunk)
+                 for strides, _, _ in tables]
+        for term, *lis in zip(weights.reshape(-1, chunk, 1, 1), *local):
+            for (row, rhs, prod, nxt), li, (_, _, table) in zip(steps, lis, head):
+                table.take(li, axis=0, out=row)
+                np.multiply(term, rhs, out=prod)
+                term = nxt
+            last.take(lis[-1], axis=0, out=rows)
+            product(rows.T, term.reshape(chunk, prefix), out=buf)
+            acc += buf
     return acc
 
 
@@ -803,7 +930,7 @@ def reference_map_and_route(c: Circuit, qpu, seed: int = 0):
         raise TranspileError(
             f"circuit needs {c.num_qubits} qubits, QPU {qpu.name} has "
             f"{qpu.num_qubits}")
-    coupling = qpu.graph()
+    coupling = coupling_graph(qpu)
     distances = dict(nx.all_pairs_shortest_path_length(coupling))
     layout = _reference_greedy_layout(c, coupling, distances)
 
@@ -884,7 +1011,7 @@ def reference_schedule(program, qpus, alpha: float, beta: float,
         best_score = None
         routed = {}
         for qpu in candidates:
-            coupling = (qpu.num_qubits, frozenset(qpu.graph().edges))
+            coupling = (qpu.num_qubits, frozenset(coupling_graph(qpu).edges))
             if coupling not in routed:
                 routed[coupling] = reference_map_and_route(proxy, qpu, seed)
             success = reference_esp(routed[coupling], qpu)
@@ -1148,7 +1275,7 @@ def reference_parse_qasm(text: str, name: str = "circuit") -> Circuit:
             if p.peek() == "(":
                 p.next("(")
                 start_tok = p.next()
-                parts, depth = [start_tok.text], 0
+                parts, depth, prev = [start_tok.text], 0, start_tok
                 while True:
                     nxt = p.peek()
                     if nxt is None:
@@ -1160,7 +1287,12 @@ def reference_parse_qasm(text: str, name: str = "circuit") -> Circuit:
                         if depth == 0:
                             break
                         depth -= 1
-                    parts.append(p.next().text)
+                    tok = p.next()
+                    # A blank or comment between two tokens stays a blank,
+                    # so that tokens it separates cannot join into one.
+                    gap = (tok.line, tok.column) != (prev.line, prev.column + len(prev.text))
+                    parts.append(" " * gap + tok.text)
+                    prev = tok
                 p.next(")")
                 angle = _ref_eval_angle("".join(parts), start_tok.line, start_tok.column)
             if angle is None and kind in ROTATIONS:

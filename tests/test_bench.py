@@ -14,8 +14,9 @@ from gatevm.bench import (
     vqe_circuit,
     w_state_circuit,
 )
-from gatevm.circuit import circuits_equal
 from gatevm.sim import run_exact
+
+from helpers import circuits_equal
 
 
 def test_bv_measures_exactly_the_secret():

@@ -17,7 +17,7 @@ from gatevm.codegen import (
 from gatevm.sim import linf_distance, run_exact
 from gatevm.vc import element_wires, from_circuit, virt_gate
 
-from helpers import dense_unitary, random_circuit, reference_peephole
+from helpers import dense_unitary, random_circuit, reference_peephole, reinlined
 
 
 def split_bell_program():
@@ -96,14 +96,14 @@ def test_generate_is_lossless_for_internal_gates():
         if len(vc.fragments) != 1:
             continue
         prog = generate(vc)
-        reinlined = prog.fragments[0].reinlined(prog.vgate_info)
-        assert linf_distance(run_exact(reinlined), run_exact(c)) <= 1e-10
+        inlined = reinlined(prog.fragments[0], prog.vgate_info)
+        assert linf_distance(run_exact(inlined), run_exact(c)) <= 1e-10
 
 
 def test_reinline_refuses_cross_fragment_gates():
     prog = split_bell_program()
     with pytest.raises(CodegenError):
-        prog.fragments[0].reinlined(prog.vgate_info)
+        reinlined(prog.fragments[0], prog.vgate_info)
 
 
 def test_peephole_cancels_self_inverse_pairs():

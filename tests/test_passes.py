@@ -32,7 +32,7 @@ from gatevm.passes import (
 )
 from gatevm.sim import run_exact, run_sampled, total_variation
 from gatevm.vc import (VirtualSide, element_wires, from_circuit,
-                       qubit_dependencies, to_circuit, virt_gate)
+                       qubit_dependencies, virt_gate)
 
 from fixtures import (
     DEP_SHOWCASE_FREED,
@@ -46,7 +46,7 @@ from helpers import (bench_family_configs, brute_force_min_cut, random_circuit,
                      reference_dependency_pairs, reference_gate_costs,
                      reference_kl_cut_plan, reference_merge_wires,
                      reference_op_graph, reference_reuse_pair,
-                     reference_reuse_qubits)
+                     reference_reuse_qubits, to_circuit)
 
 
 def random_weighted_graph(rng, n):

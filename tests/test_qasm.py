@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatevm.circuit import (GATES_1Q, GATES_2Q, ROTATIONS, Circuit,
-                            circuits_equal, instr)
+from gatevm.circuit import GATES_1Q, GATES_2Q, ROTATIONS, Circuit, instr
 from gatevm.qasm import (
     QasmError,
     QasmIndexError,
@@ -17,7 +16,7 @@ from gatevm.qasm import (
     parse_qasm,
 )
 
-from helpers import random_circuit, reference_parse_qasm
+from helpers import circuits_equal, random_circuit, reference_parse_qasm
 
 
 def test_parse_simple_program():
@@ -190,6 +189,17 @@ def test_python_only_literals_are_not_angles(angle):
     angle_error(angle)
 
 
+@pytest.mark.parametrize("angle", ["1 2", "p i", "1 .5", "1e -5", "1 // c\n2"])
+def test_blank_joining_two_angle_tokens_is_a_syntax_error(angle):
+    # Joined, these would read 12, pi, 1.5, 1e-5 and 12.
+    angle_error(angle)
+
+
+def test_blanks_between_angle_tokens_that_stay_apart_are_kept():
+    text = "OPENQASM 2.0; qreg q[1]; rx( - pi / 2 ) q[0]; rz(1 // c\n* 2) q[0];"
+    assert [i.angle for i in parse_qasm(text).instructions] == [-math.pi / 2, 2.0]
+
+
 def test_angle_may_start_with_a_parenthesis():
     # The token parser skipped the first token's '(' when it matched
     # parentheses, so it cut ((pi)/2) short and refused it.
@@ -244,7 +254,7 @@ HAND_WRITTEN = [
     "OPENQASM 2.0; qreg q[2]; rzz(pi*(1/(2+(3*(4-1))))) q[0],q[1];",
     "OPENQASM 2.0; qreg q[1]; rx(1e-3) q[0]; ry(.5) q[0]; rz(3.) q[0]; rx(2E+2) q[0];",
     "OPENQASM 2.0; qreg q[1]; rx(pi // half of it\n / 2) q[0];",
-    "OPENQASM 2.0; qreg q[1]; rx(- + -pi) q[0]; ry(1 2) q[0]; rz(p i) q[0];",
+    "OPENQASM 2.0; qreg q[1]; rx(- + -pi) q[0]; ry(1 *2) q[0]; rz(pi/ 2) q[0];",
     "OPENQASM 2.0; qreg q[2]; rx\n(\n0.25\n)\nq\n[\n1\n]\n;\nbarrier q[0],q[1]; reset q[1];",
     "OPENQASM 2.0; qreg measure[2]; creg h[1]; h measure[1]; "
     "measure measure[0] -> h[0];",
@@ -290,6 +300,10 @@ MALFORMED = [
     "OPENQASM 2.0; qreg q[1]; barrier(1) q[0];", "OPENQASM 2.0; qreg q[1]; h q[0]; ;",
     "OPENQASM 2.0; qreg q[1]; h q[-1];", "OPENQASM 2.0; qreg q[1]; h q [ 0 ] ",
     "OPENQASM 2.0; qreg q[1]; h q[0]; // ok\n x q[1]; // not ok",
+    # blanks and comments may not join two tokens into one
+    "OPENQASM 2.0; qreg q[1]; rx(1 2) q[0];", "OPENQASM 2.0; qreg q[1]; rz(p i) q[0];",
+    "OPENQASM 2.0; qreg q[1]; rx(1 .5) q[0];", "OPENQASM 2.0; qreg q[1]; rx(1e -5) q[0];",
+    "OPENQASM 2.0; qreg q[1]; rx(pi // c\n2) q[0];",
 ]
 
 

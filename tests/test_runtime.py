@@ -35,7 +35,8 @@ from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
 from helpers import (bench_family_programs, random_circuit, reference_execute,
-                     reference_knit, reference_knit_range, reference_schedule)
+                     reference_knit, reference_knit_range,
+                     reference_prefix_knit_range, reference_schedule)
 
 
 def compiled(circuit, vgate_ids):
@@ -805,13 +806,24 @@ def dense_synthetic_results(gate_split, support_bits, seed):
             GlobalCoefficients(rng.normal(size=6 ** first), order))
 
 
+def balanced_split(widths):
+    """Where ``runtime._knit_range`` splits fragments of these key-union
+    sizes: the point that minimizes Pi_left + Pi_right, the first such."""
+    return min(range(len(widths)),
+               key=lambda s: math.prod(widths[:s]) + math.prod(widths[s:]))
+
+
 def kernel_cases():
-    """knit_cases, plus three fragments whose last one is the widest, the
-    narrowest, or has no output bits (one key), and a last fragment whose
-    key union is empty."""
+    """knit_cases, plus synthetic workloads whose balanced split falls at
+    every position: one fragment; two fragments split 1|1, as in criterion
+    07(b); three fragments whose last one is the widest, the narrowest, or
+    has no output bits (one key); four fragments whose first or last one is
+    the widest; and a last fragment whose key union is empty."""
     cases = knit_cases()
-    for bits in ((1, 2, 4), (4, 2, 1), (3, 3, 0)):
-        cases.append(dense_synthetic_results((1, 1, 2), bits, seed=sum(bits)))
+    for gates, bits in (((2,), 4), ((1, 1), 3), ((1, 1, 2), (1, 2, 4)),
+                        ((1, 1, 2), (4, 2, 1)), ((1, 1, 2), (3, 3, 0)),
+                        ((1, 1, 1, 1), (4, 1, 1, 1)), ((1, 1, 1, 1), (1, 1, 1, 4))):
+        cases.append(dense_synthetic_results(gates, bits, seed=len(gates) + 7))
     results, coeffs = dense_synthetic_results((1, 2), (3, 2), seed=12)
     last = results.entries[-1]
     last.distributions[:] = [SignedDistribution({}, d.num_bits)
@@ -828,9 +840,13 @@ def worker_ranges(total, workers):
 @pytest.mark.parametrize("chunk", [None, 1, 7, "all"])
 def test_knit_kernel_matches_replaced_kernel_and_reference(monkeypatch, chunk):
     # chunk: runtime's own rule, one or seven instances per chunk, or more
-    # than the 6^k global instances (then a whole worker range).
+    # than the 6^k global instances (then a whole worker range). Both
+    # replaced kernels see the same settings.
     cases = kernel_cases()
-    assert [union_sizes(results)[-1] for results, _ in cases[-4:]] == [16, 2, 1, 0]
+    synthetic = [union_sizes(results) for results, _ in cases[-8:]]
+    assert synthetic == [[16], [8, 8], [2, 4, 16], [16, 4, 2], [8, 8, 1],
+                         [16, 2, 2, 2], [2, 2, 2, 16], [8, 0]]
+    assert [balanced_split(widths) for widths in synthetic] == [0, 1, 2, 1, 1, 1, 3, 0]
     for results, coeffs in cases:
         tables = runtime._fragment_tables(results)
         size = math.prod(union_sizes(results))
@@ -841,10 +857,16 @@ def test_knit_kernel_matches_replaced_kernel_and_reference(monkeypatch, chunk):
             for start, end in worker_ranges(len(coeffs), workers):
                 args = (start, end, coeffs.values, tables)
                 got = runtime._knit_range(args).ravel()
-                old = reference_knit_range(args).ravel()
-                assert got.shape == old.shape == (size,)
-                assert np.max(np.abs(got - old), initial=0.0) <= 1e-12
+                for replaced in (reference_prefix_knit_range, reference_knit_range):
+                    old = replaced(args).ravel()
+                    assert got.shape == old.shape == (size,)
+                    assert np.max(np.abs(got - old), initial=0.0) <= 1e-12
         assert_knit_matches_reference(results, coeffs, (1, 2, 3))
+        # The same kept keys as through the replaced kernel.
+        got = knit(results, coeffs)
+        with monkeypatch.context() as m:
+            m.setattr(runtime, "_knit_range", reference_prefix_knit_range)
+            assert_same_knit(got, knit(results, coeffs))
 
 
 def traced_knit_peak(results, coeffs, workers=1):
@@ -877,6 +899,25 @@ def test_knit_output_phase_builds_no_full_key_array():
     size = 1 << 16
     assert knit(results, coeffs).keys.size == size
     assert traced_knit_peak(results, coeffs) < 3.76 * (8 * size)
+
+
+def test_knit_range_holds_one_sub_block_of_halves():
+    # Pi = 2^12 over three fragments, chunks of 16 instances. The range phase
+    # holds a block's index arrays, the accumulator, the product buffer and
+    # one sub-block's halves (at most KNIT_CHUNK_ENTRIES // 4 entries, 3.2 x
+    # 8 Pi here): 14.92-14.96 x 8 Pi measured. Holding the previous
+    # sub-block's halves too measured 18.1. The bound leaves a 10% margin.
+    results, coeffs = dense_synthetic_results((2, 2, 2), 4, seed=5)
+    size = 1 << 12
+    assert math.prod(union_sizes(results)) == size
+    tables = runtime._fragment_tables(results)
+    tracemalloc.start()
+    try:
+        runtime._knit_range((0, len(coeffs), coeffs.values, tables))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.45 * (8 * size)
 
 
 def test_knit_workers_add_their_parts_as_they_arrive():

@@ -19,7 +19,7 @@ from gatevm.transpiler import (
 )
 from gatevm.vc import from_circuit
 
-from helpers import (bench_family_programs, random_circuit, reference_esp,
+from helpers import (bench_family_programs, coupling_graph, random_circuit, reference_esp,
                      reference_map_and_route)
 
 
@@ -41,7 +41,7 @@ def test_unembeddable_triangle_inserts_swaps():
     pc = map_and_route(c, qpu)
     assert pc.inserted_swaps >= 1
     assert cnot_count(pc.circuit) == 3 + 3 * pc.inserted_swaps
-    coupling = qpu.graph()
+    coupling = coupling_graph(qpu)
     for ins in pc.circuit.instructions:
         if ins.kind in GATES_2Q:
             assert coupling.has_edge(*ins.qubits)
@@ -275,7 +275,7 @@ def test_hellinger_clip_refuses_no_positive_mass():
 def test_preset_qpus():
     hh = preset_qpu("heavy-hex-27")
     assert hh.num_qubits == 27
-    assert nx.is_connected(hh.graph())
-    assert max(dict(hh.graph().degree).values()) == 3
+    assert nx.is_connected(coupling_graph(hh))
+    assert max(dict(coupling_graph(hh).degree).values()) == 3
     line = preset_qpu("line-9")
     assert line.num_qubits == 9 and line.coupling[0] == (0, 1)

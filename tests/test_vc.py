@@ -15,14 +15,13 @@ from gatevm.vc import (
     operation_graph,
     qubit_dependencies,
     qubit_graph_dot,
-    to_circuit,
     virt_between,
     virt_gate,
 )
 
 from fixtures import dep_showcase_circuit, two_cluster_circuit, TWO_CLUSTER_CUT_EDGES
 from helpers import (closure_dependencies, random_circuit, reference_merge_wires,
-                     reference_op_graph)
+                     reference_op_graph, to_circuit)
 
 
 def bell_vc():
