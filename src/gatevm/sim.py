@@ -7,24 +7,28 @@ The leaves of a batch share a trie: they start in one node, and a node
 forks where its leaves take different actions at a slot or where a
 measurement is terminal for some of them only, each child copying its
 parent's rows. The rows of one amplitude array are (node, branch) pairs,
-so each gate is one call on the whole batch; a mid-circuit measurement or
-reset replaces each affected row by its outcome-0 row and then its
-outcome-1 row. Exact mode returns a signed outcome distribution per
-instance, shared by the instances of a leaf; sampled mode draws seeded
-shots per instance from its leaf's exact joint branch distribution, which
-is statistically identical to per-shot collapse. Results hold int64 key
-arrays with their values, and dict views for the edge. Also hosts the
-Choi-matrix channel oracle that validates quasi-probability gate
-decompositions.
+so each gate is one call on the whole batch. Its BLAS product is made in
+two work buffers that the batch's evolution owns, and stays there until
+the next product or a row operation reads it. A mid-circuit
+measurement or reset replaces each affected row by its outcome-0 row and
+then its outcome-1 row. Exact mode returns a signed outcome distribution
+per instance, shared by the instances of a leaf: rows are grouped by
+node and recorded bits, and each output key sums its (row, basis state)
+pairs in row order. Sampled mode draws seeded shots per instance from its
+leaf's exact joint branch distribution, which is statistically identical
+to per-shot collapse. Results hold int64 key arrays with their values,
+and dict views for the edge. Also hosts the Choi-matrix channel oracle
+that validates quasi-probability gate decompositions.
 
 Bit order: qubit 0 is the least significant bit of every bitstring key.
-Every run owns its state; there is no shared mutable state between runs.
+Every run owns its state and buffers; there is no shared mutable state
+between runs.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -66,8 +70,8 @@ class SignedDistribution:
     def from_arrays(cls, keys: np.ndarray, values: np.ndarray,
                     num_bits: int) -> "SignedDistribution":
         """Wrap unique int64 keys and their float64 values without copying."""
-        dist = cls({}, num_bits)
-        dist.keys, dist.values = keys, values
+        dist = cls.__new__(cls)
+        dist.keys, dist.values, dist.num_bits = keys, values, num_bits
         return dist
 
     @cached_property
@@ -193,35 +197,6 @@ def two_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise SimulationError(f"no matrix for two-qubit kind {kind!r}")
 
 
-def _apply(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
-           node: np.ndarray) -> np.ndarray:
-    """Apply a gate to each row of ``amps`` (rows, 2^n) bit for bit as a run
-    of the row's node alone does, which makes one BLAS product over that
-    node's rows (``node`` names each row's node, nondecreasing).
-    Rows giving the product four or more columns each come out the same in
-    one product over all rows; narrower ones get a product per node,
-    batched over nodes with equal row counts. Two-qubit matrices index
-    bit(first) + 2 * bit(second)."""
-    k, d, width = len(qubits), len(mat), (1 << n) >> len(qubits)
-    axes = [n - q for q in reversed(qubits)]
-    t = amps.reshape([-1] + [2] * n)
-    if width >= 4:
-        out = np.tensordot(mat.reshape([2] * 2 * k), t,
-                           (list(range(k, 2 * k)), axes))
-        return np.moveaxis(out, list(range(k)), axes).reshape(amps.shape)
-    t = np.moveaxis(t, axes, list(range(1, k + 1)))
-    rows, out = t.reshape(len(amps), d, width), np.empty(t.shape, dtype=complex)
-    starts = np.flatnonzero(np.diff(node, prepend=-1))
-    sizes = np.diff(np.append(starts, len(node)))
-    for size in np.unique(sizes).tolist():
-        group = (starts[sizes == size][:, None] + np.arange(size)).ravel()
-        block = rows[group].reshape(-1, size, d, width).transpose(0, 2, 1, 3)
-        prod = np.matmul(mat, block.reshape(len(block), d, -1))
-        out[group] = prod.reshape(block.shape).transpose(0, 2, 1, 3).reshape(
-            (len(group),) + t.shape[1:])
-    return np.moveaxis(out, list(range(1, k + 1)), axes).reshape(amps.shape)
-
-
 # ---------------------------------------------------------------------------
 # batched evolution
 
@@ -257,7 +232,7 @@ class _Evolution:
     # pair, node-major and in branch order within a node: a node's rows are
     # exactly the rows of a run of any of its leaves alone. A row's
     # amplitudes are unnormalized: its squared norm is the branch probability.
-    amps: np.ndarray       # (rows, 2^n) complex
+    state: np.ndarray      # (rows, 2^n) complex, unless ``pending`` holds it
     node: np.ndarray       # (rows,) node of the row
     signs: np.ndarray      # (rows,) +1 or -1
     recorded: np.ndarray   # (rows,) bits fixed mid-circuit
@@ -265,6 +240,96 @@ class _Evolution:
     sign_mask: np.ndarray  # (nodes,) qubits whose final bit flips the sign
     leaf: np.ndarray       # (leaves,) node of the leaf
     peak: int = 1          # most rows one node has held
+    # Two flat complex buffers for the gate products (see _apply), grown to
+    # the largest state of the batch and dropped when the evolution ends.
+    work: list = field(default_factory=lambda: [np.empty(0, dtype=complex)] * 2)
+    # The state as the last gate product left it in work buffer 1, viewed
+    # as (rows, 2, ..., 2) with qubit n-1 first; None once copied back.
+    pending: np.ndarray | None = None
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The (rows, 2^n) amplitudes. Reading them copies a pending product
+        back into ``state`` first."""
+        if self.pending is not None:
+            np.copyto(self.state.reshape(self.pending.shape), self.pending)
+            self.pending = None
+        return self.state
+
+    @amps.setter
+    def amps(self, value: np.ndarray) -> None:
+        self.state, self.pending = value, None
+
+
+def _work(ev: _Evolution, i: int, size: int) -> np.ndarray:
+    """The first ``size`` entries of work buffer ``i``, grown to fit."""
+    if ev.work[i].size < size:
+        ev.work[i] = np.empty(size, dtype=complex)
+    return ev.work[i][:size]
+
+
+def _apply(ev: _Evolution, mat: np.ndarray, qubits: tuple[int, ...], n: int,
+           rows: np.ndarray | None = None) -> None:
+    """Apply a gate to the rows ``rows`` of the state (all rows if None),
+    bit for bit as a run of each row's node alone does, which makes one
+    BLAS product over that node's rows. Rows giving the product four or
+    more columns each come out the same in one product over all the
+    selected rows. Its operand (the gate qubits' bits, last gate qubit
+    outermost, then the rows, then the other bits) is copied into work
+    buffer 0 and multiplied into work buffer 1. On all rows the product
+    stays there as ``ev.pending``: the next product reads it, and reading
+    ``ev.amps`` copies it back. A selection is gathered into buffer 1
+    first and scattered back through buffer 0. Narrower rows get a product
+    per node (:func:`_per_node`). Two-qubit matrices index bit(first) +
+    2 * bit(second)."""
+    if (1 << n) >> len(qubits) < 4:
+        if rows is None:
+            ev.amps = _per_node(ev.amps, mat, qubits, n, ev.node)
+        else:
+            ev.amps[rows] = _per_node(ev.amps[rows], mat, qubits, n,
+                                      ev.node[rows])
+        return
+    if rows is not None:
+        # mode="clip" lets take write to ``out`` without a buffered copy.
+        state = np.take(ev.amps, rows, axis=0, mode="clip", out=_work(
+            ev, 1, len(rows) << n).reshape(len(rows), 1 << n))
+    else:
+        state = ev.state if ev.pending is None else ev.pending
+    lead = [n - q for q in reversed(qubits)]
+    order = lead + [a for a in range(n + 1) if a not in lead]
+    operand = state.reshape([-1] + [2] * n).transpose(order)
+    x = _work(ev, 0, operand.size).reshape(operand.shape)
+    np.copyto(x, operand)
+    d = len(mat)
+    y = np.dot(mat, x.reshape(d, -1), out=_work(ev, 1, x.size).reshape(d, -1))
+    y = y.reshape(x.shape)
+    if rows is None:
+        ev.pending = y.transpose(sorted(range(n + 1), key=order.__getitem__))
+    else:
+        back = x.reshape(state.shape)
+        np.copyto(back.reshape([-1] + [2] * n).transpose(order), y)
+        ev.amps[rows] = back
+
+
+def _per_node(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...],
+              n: int, node: np.ndarray) -> np.ndarray:
+    """A gate on rows that give its product fewer than four columns: one
+    product per node (``node`` names each row's node, nondecreasing),
+    batched over nodes with equal row counts, as a run of the node alone
+    makes it."""
+    k, d, width = len(qubits), len(mat), (1 << n) >> len(qubits)
+    axes = [n - q for q in reversed(qubits)]
+    t = np.moveaxis(amps.reshape([-1] + [2] * n), axes, list(range(1, k + 1)))
+    rows, out = t.reshape(len(amps), d, width), np.empty(t.shape, dtype=complex)
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    sizes = np.diff(np.append(starts, len(node)))
+    for size in np.unique(sizes).tolist():
+        group = (starts[sizes == size][:, None] + np.arange(size)).ravel()
+        block = rows[group].reshape(-1, size, d, width).transpose(0, 2, 1, 3)
+        prod = np.matmul(mat, block.reshape(len(block), d, -1))
+        out[group] = prod.reshape(block.shape).transpose(0, 2, 1, 3).reshape(
+            (len(group),) + t.shape[1:])
+    return np.moveaxis(out, list(range(1, k + 1)), axes).reshape(amps.shape)
 
 
 def _leaves(steps: list, count: int):
@@ -344,6 +409,15 @@ def _fork(ev: _Evolution, key: np.ndarray) -> np.ndarray:
     return pairs % wide
 
 
+def _branch_norms(amps: np.ndarray, q: int) -> np.ndarray:
+    """Squared norm of each row's qubit-``q`` = 0 and = 1 halves: the rows'
+    squared magnitudes times a (2^n, 2) 0/1 selector of bit ``q``."""
+    probs = np.abs(amps)
+    np.square(probs, out=probs)
+    bit = (np.arange(amps.shape[1])[:, None] >> q) & 1
+    return probs @ (bit == np.arange(2)).astype(float)
+
+
 def _split(ev: _Evolution, q: int, split_node: np.ndarray, sign: bool = False,
            clbit: int | None = None, reset: bool = False) -> None:
     """Branch the rows of the nodes in ``split_node`` on qubit ``q``: each
@@ -355,8 +429,7 @@ def _split(ev: _Evolution, q: int, split_node: np.ndarray, sign: bool = False,
     if not cut.any():
         return
     rows, size = ev.amps.shape
-    halves = ev.amps.reshape(rows, size >> (q + 1), 2, 1 << q)
-    keep = (np.abs(halves) ** 2).sum(axis=(1, 3)) >= _PRUNE_NORM_SQ
+    keep = _branch_norms(ev.amps, q) >= _PRUNE_NORM_SQ
     keep[~cut] = (True, False)
     parent, outcome = np.nonzero(keep)
     peak = int(np.bincount(ev.node[parent]).max())
@@ -365,7 +438,8 @@ def _split(ev: _Evolution, q: int, split_node: np.ndarray, sign: bool = False,
             f"{peak} branches of {size} amplitudes exceed the limit of "
             f"{MAX_BRANCH_AMPLITUDES} amplitudes per instance")
     ev.peak = max(ev.peak, peak)
-    halves, one, r = halves[parent], outcome == 1, np.flatnonzero(cut[parent])
+    halves = ev.amps.reshape(rows, size >> (q + 1), 2, 1 << q)[parent]
+    one, r = outcome == 1, np.flatnonzero(cut[parent])
     if reset:
         halves[one, :, 0] = halves[one, :, 1]
     halves[r, :, 1 if reset else 1 - outcome[r]] = 0
@@ -379,10 +453,11 @@ def _split(ev: _Evolution, q: int, split_node: np.ndarray, sign: bool = False,
 
 
 def _apply_slot(ev: _Evolution, slot: Slot, choice: np.ndarray,
-                term: np.ndarray, n: int) -> None:
+                term: np.ndarray, n: int, mats: dict) -> None:
     """Apply each node's action (``choice``; ``term`` marks nodes for which
     the slot is its qubit's last use). Position by position, the rows whose
-    actions hold the same operation there take it at once."""
+    actions hold the same operation there take it at once; ``mats`` maps
+    each unitary operation to its matrix."""
     acts, q = slot.actions, slot.qubit
     for o in range(max(len(a.ops) for a in acts)):
         for op in dict.fromkeys(a.ops[o] for a in acts if len(a.ops) > o):
@@ -393,30 +468,46 @@ def _apply_slot(ev: _Evolution, slot: Slot, choice: np.ndarray,
                 ev.sign_mask[ends] |= 1 << q
                 _split(ev, q, picked & ~ends, sign=True)
             elif picked.all():
-                ev.amps = _apply(ev.amps, gate_matrix(op.kind, op.angle), (q,),
-                                 n, ev.node)
-            else:
-                rows = np.flatnonzero(picked[ev.node])
-                ev.amps[rows] = _apply(ev.amps[rows], gate_matrix(op.kind, op.angle),
-                                       (q,), n, ev.node[rows])
+                _apply(ev, mats[op], (q,), n)
+            elif (rows := np.flatnonzero(picked[ev.node])).size:
+                _apply(ev, mats[op], (q,), n, rows)
 
 
-def _evolve(c: Circuit, reps: np.ndarray) -> _Evolution:
+@dataclass(frozen=True)
+class _Steps:
+    """A circuit's steps with the matrices they apply, built once per run:
+    each gate's unitary (None for any other step) and, in ``op_matrices``,
+    each unitary operation of a slot's actions."""
+
+    num_qubits: int
+    instructions: list
+    matrices: list
+    op_matrices: dict
+
+    @classmethod
+    def of(cls, c: Circuit) -> "_Steps":
+        mats = [gate_matrix(ins.kind, ins.angle) if ins.kind in GATES_1Q else
+                two_qubit_matrix(ins.kind, ins.angle) if ins.kind in GATES_2Q else
+                None for ins in c.instructions]
+        ops = {op: gate_matrix(op.kind, op.angle) for ins in c.instructions
+               if ins.kind == "slot" for a in ins.actions for op in a.ops
+               if op.kind != "measure"}
+        return cls(c.num_qubits, c.instructions, mats, ops)
+
+
+def _evolve(steps: _Steps, reps: np.ndarray) -> _Evolution:
     """Run the leaves whose representative instances are ``reps``: one root
     node with one row to start with, forked where the leaves differ."""
-    n = c.num_qubits
+    n = steps.num_qubits
     amps = np.zeros((1, 1 << n), dtype=complex)
     amps[0, 0] = 1.0
     zero = np.zeros(1, dtype=np.int64)
     ev = _Evolution(amps, zero, zero + 1, zero, zero.copy(), zero.copy(),
                     np.zeros(len(reps), dtype=np.int64))
-    for ins, term in zip(c.instructions, _terminal(c.instructions, reps)):
-        if ins.kind in GATES_1Q:
-            mat = gate_matrix(ins.kind, ins.angle)
-            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.node)
-        elif ins.kind in GATES_2Q:
-            mat = two_qubit_matrix(ins.kind, ins.angle)
-            ev.amps = _apply(ev.amps, mat, ins.qubits, n, ev.node)
+    for ins, mat, term in zip(steps.instructions, steps.matrices,
+                              _terminal(steps.instructions, reps)):
+        if mat is not None:
+            _apply(ev, mat, ins.qubits, n)
         elif ins.kind == "slot":
             # Leaves fork by distinct action, and by terminal flag where
             # the action ends in a measurement.
@@ -426,7 +517,7 @@ def _evolve(c: Circuit, reps: np.ndarray) -> _Evolution:
                              for a in acts])
             choice = same[ins.choices(reps)]
             key = _fork(ev, 2 * choice + (term & ends[choice]))
-            _apply_slot(ev, ins, key >> 1, (key & 1) == 1, n)
+            _apply_slot(ev, ins, key >> 1, (key & 1) == 1, n, steps.op_matrices)
         elif ins.kind == "measure":
             # A terminal measurement reads its bit at finalization instead of
             # branching, so whole-register readout stays linear.
@@ -440,21 +531,69 @@ def _evolve(c: Circuit, reps: np.ndarray) -> _Evolution:
         elif ins.kind == "reset":
             _split(ev, ins.qubits[0], np.ones(len(ev.reads), dtype=bool),
                    reset=True)
+    # A pending product is copied back before the buffers go.
+    ev.state, ev.work = ev.amps, []
     return ev
 
 
-def _outcomes(ev: _Evolution, read_map: dict[int, int]):
-    """Node, key, sign and probability of every (row, basis state) pair
-    with nonzero probability, row by row."""
+def _outcomes(ev: _Evolution):
+    """Row, basis state, sign and probability of every (row, basis state)
+    pair with nonzero probability, row by row."""
     probs = np.abs(ev.amps) ** 2
     row, idx = np.nonzero(probs > _PRUNE_NORM_SQ)
-    node, keys = ev.node[row], ev.recorded[row]
-    reads = ev.reads[node] & idx
-    for q, c in read_map.items():
-        keys |= ((reads >> q) & 1) << c
-    flips = np.bitwise_count(idx & ev.sign_mask[node]) & 1
+    flips = np.bitwise_count(idx & ev.sign_mask[ev.node][row]) & 1
     signs = np.where(flips == 1, -ev.signs[row], ev.signs[row])
-    return node, keys, signs, probs[row, idx]
+    return row, idx, signs, probs[row, idx]
+
+
+def _read_bits(states: np.ndarray, read_map: dict[int, int]) -> np.ndarray:
+    """The output bits of basis states: bit ``q`` of a state goes to bit
+    ``read_map[q]``."""
+    keys = np.zeros_like(states)
+    for q, c in read_map.items():
+        keys |= ((states >> q) & 1) << c
+    return keys
+
+
+def _distributions(ev: _Evolution, read_map: dict[int, int],
+                   num_bits: int) -> list[SignedDistribution]:
+    """Each node's exact signed distribution over ``num_bits`` output bits,
+    keys ascending. Rows are grouped by (node, recorded bits). Each (row,
+    basis state) pair of nonzero probability goes to the bin of its row's
+    group and its state's bits read at the end; the other pairs go to a
+    bin that is dropped. Bins whose keys coincide (a clbit both recorded
+    and read, or two qubits read into one clbit) share one sum. bincount
+    adds each key's pairs in row order, as a running sum of a run of the
+    node alone would."""
+    size = ev.amps.shape[1]
+    n = size.bit_length() - 1
+    probs = np.abs(ev.amps)
+    np.square(probs, out=probs)
+    states = np.arange(size)
+    groups, group = np.unique((ev.node << num_bits) | ev.recorded,
+                              return_inverse=True)
+    dropped = len(groups) << n
+    bins = states & ev.reads[ev.node][:, None]
+    bins |= (group << n)[:, None]
+    bins[probs <= _PRUNE_NORM_SQ] = dropped
+    seen = np.zeros(dropped + 1, dtype=bool)
+    seen[bins] = True
+    occupied = np.flatnonzero(seen[:-1])
+    pairs, at = np.unique(groups[occupied >> n] | _read_bits(
+        occupied & (size - 1), read_map), return_inverse=True)
+    index = np.empty(dropped + 1, dtype=np.intp)
+    index[occupied], index[dropped] = at, len(pairs)
+    flips = np.bitwise_count(states & ev.sign_mask[ev.node][:, None]) & 1
+    np.negative(probs, out=probs, where=(flips == 1) != (ev.signs < 0)[:, None])
+    sums = np.bincount(index[bins].ravel(), weights=probs.ravel(),
+                       minlength=len(pairs) + 1)[:-1]
+    keep = np.abs(sums) >= _OUTPUT_EPS
+    pairs, sums = pairs[keep], sums[keep]
+    edges = np.searchsorted(pairs >> num_bits,
+                            np.arange(len(ev.reads) + 1)).tolist()
+    keys = pairs & ((1 << num_bits) - 1)
+    return [SignedDistribution.from_arrays(keys[a:b], sums[a:b], num_bits)
+            for a, b in zip(edges, edges[1:])]
 
 
 def run_batch(c: Circuit, count: int = 1, shots: int | None = None,
@@ -467,11 +606,13 @@ def run_batch(c: Circuit, count: int = 1, shots: int | None = None,
     as many as fit ``BATCH_AMPLITUDES`` at the most rows a leaf has reached
     so far. A batch's rows are (node, branch) pairs: all its leaves start in
     one node, which forks at a slot where its leaves take different actions
-    and at a measurement that is terminal for some of them only. Exact mode
-    (``shots`` None) gives a SignedDistribution per instance, shared by the
-    instances of a leaf; sampled mode gives ShotCounts per instance,
-    instance ``i`` drawn with ``seeds[i]`` over its leaf's (branch, basis
-    state) pairs in row order. Results are in instance order.
+    and at a measurement that is terminal for some of them only. Each
+    batch's evolution owns the work buffers of its gate products. Exact
+    mode (``shots`` None) gives a SignedDistribution per instance, shared
+    by the instances of a leaf and summed per (node, key) in row order
+    (see :func:`_distributions`); sampled mode gives ShotCounts per
+    instance, instance ``i`` drawn with ``seeds[i]`` over its leaf's
+    (branch, basis state) pairs in row order. Results are in instance order.
     """
     c.validate()
     n = c.num_qubits
@@ -479,10 +620,15 @@ def run_batch(c: Circuit, count: int = 1, shots: int | None = None,
         raise SimulationError(f"{n} qubits exceeds engine limit of {MAX_QUBITS}")
     if shots is not None and shots < 1:
         raise SimulationError("shots must be >= 1")
+    if shots is not None and (seeds is None or len(seeds) != count):
+        raise SimulationError(f"sampled mode needs one seed per instance: "
+                              f"{count} instances, "
+                              f"{0 if seeds is None else len(seeds)} seeds")
     read_map = {ins.qubits[0]: ins.clbit for ins in c.instructions
                 if ins.kind == "measure" and ins.clbit is not None}
     num_bits = c.num_clbits if read_map else n
-    mask = (1 << num_bits) - 1
+    reads = read_map or {q: q for q in range(n)}
+    steps = _Steps.of(c)
     leaves = _leaves(c.instructions, count)
     out: list = [None] * count
     peak = 0
@@ -490,29 +636,20 @@ def run_batch(c: Circuit, count: int = 1, shots: int | None = None,
     while batch := list(itertools.islice(leaves, min(
             1 << max(0, 62 - num_bits),
             max(1, BATCH_AMPLITUDES // (peak << n)) if peak else 1))):
-        ev = _evolve(c, np.array([rep for rep, _ in batch]))
+        ev = _evolve(steps, np.array([rep for rep, _ in batch]))
         peak = max(peak, ev.peak)
         if not read_map:
             ev.reads[:] = (1 << n) - 1
-        node, keys, signs, probs = _outcomes(
-            ev, read_map or {q: q for q in range(n)})
-        nodes = np.arange(len(ev.reads) + 1)
         if shots is None:
-            # bincount adds in input order, as a running sum per key would.
-            pairs, index = np.unique((node << num_bits) | keys,
-                                     return_inverse=True)
-            sums = np.bincount(index, weights=signs * probs)
-            keep = np.abs(sums) >= _OUTPUT_EPS
-            pairs, sums = pairs[keep], sums[keep]
-            edges = np.searchsorted(pairs >> num_bits, nodes).tolist()
-            dists = [SignedDistribution.from_arrays(pairs[a:b] & mask,
-                                                    sums[a:b], num_bits)
-                     for a, b in zip(edges, edges[1:])]
+            dists = _distributions(ev, reads, num_bits)
             for (_, ids), at in zip(batch, ev.leaf.tolist()):
                 for i in ids:
                     out[i] = dists[at]
             continue
-        edges = np.searchsorted(node, nodes).tolist()
+        row, idx, signs, probs = _outcomes(ev)
+        keys = ev.recorded[row] | _read_bits(idx & ev.reads[ev.node][row], reads)
+        edges = np.searchsorted(ev.node[row],
+                                np.arange(len(ev.reads) + 1)).tolist()
         for (_, ids), at in zip(batch, ev.leaf.tolist()):
             a, b = edges[at], edges[at + 1]
             drawn_keys, index = np.unique(keys[a:b], return_inverse=True)

@@ -21,7 +21,10 @@ that rebuild the coupling graph, its all-pairs distances and every SWAP
 path on each call and look up every instruction's error rate. The QASM
 statement scanner is checked against the token parser it replaced, and
 the one-pass qubit reuser against the reuser that swept the stream for
-wire masks before each merge and rewrote the stream at each merge.
+wire masks before each merge and rewrote the stream at each merge. The
+statevector engine's gate products, branch norms and exact sums are
+checked against the `np.tensordot` product, the strided norm sum and the
+sort of every (row, basis state) pair that they replaced.
 """
 from __future__ import annotations
 
@@ -755,6 +758,77 @@ def reference_peephole(pc: ParamCircuit) -> ParamCircuit:
                if isinstance(el, Placeholder)]
     return ParamCircuit(pc.num_qubits, els, vectors, pc.clbit_map,
                         pc.qubit_map, pc.fragment_index, pc.name)
+
+
+# ---------------------------------------------------------------------------
+# the statevector engine's replaced branch path
+
+def reference_apply(amps: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...],
+                    n: int, node: np.ndarray) -> np.ndarray:
+    """Apply a gate to each row of ``amps`` (rows, 2^n) bit for bit as a run
+    of the row's node alone does, which makes one BLAS product over that
+    node's rows (``node`` names each row's node, nondecreasing).
+    Rows giving the product four or more columns each come out the same in
+    one product over all rows; narrower ones get a product per node,
+    batched over nodes with equal row counts. Two-qubit matrices index
+    bit(first) + 2 * bit(second)."""
+    k, d, width = len(qubits), len(mat), (1 << n) >> len(qubits)
+    axes = [n - q for q in reversed(qubits)]
+    t = amps.reshape([-1] + [2] * n)
+    if width >= 4:
+        out = np.tensordot(mat.reshape([2] * 2 * k), t,
+                           (list(range(k, 2 * k)), axes))
+        return np.moveaxis(out, list(range(k)), axes).reshape(amps.shape)
+    t = np.moveaxis(t, axes, list(range(1, k + 1)))
+    rows, out = t.reshape(len(amps), d, width), np.empty(t.shape, dtype=complex)
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    sizes = np.diff(np.append(starts, len(node)))
+    for size in np.unique(sizes).tolist():
+        group = (starts[sizes == size][:, None] + np.arange(size)).ravel()
+        block = rows[group].reshape(-1, size, d, width).transpose(0, 2, 1, 3)
+        prod = np.matmul(mat, block.reshape(len(block), d, -1))
+        out[group] = prod.reshape(block.shape).transpose(0, 2, 1, 3).reshape(
+            (len(group),) + t.shape[1:])
+    return np.moveaxis(out, list(range(1, k + 1)), axes).reshape(amps.shape)
+
+
+def reference_branch_norms(amps: np.ndarray, q: int) -> np.ndarray:
+    """Squared norm of each row's qubit-``q`` = 0 and = 1 halves, as a
+    strided sum over the (rows, 2^n) amplitudes."""
+    rows, size = amps.shape
+    halves = amps.reshape(rows, size >> (q + 1), 2, 1 << q)
+    return (np.abs(halves) ** 2).sum(axis=(1, 3))
+
+
+def _reference_pair_outcomes(ev, read_map: dict[int, int]):
+    """Node, key, sign and probability of every (row, basis state) pair
+    with nonzero probability, row by row."""
+    probs = np.abs(ev.amps) ** 2
+    row, idx = np.nonzero(probs > 1e-30)
+    node, keys = ev.node[row], ev.recorded[row]
+    reads = ev.reads[node] & idx
+    for q, c in read_map.items():
+        keys |= ((reads >> q) & 1) << c
+    flips = np.bitwise_count(idx & ev.sign_mask[node]) & 1
+    signs = np.where(flips == 1, -ev.signs[row], ev.signs[row])
+    return node, keys, signs, probs[row, idx]
+
+
+def reference_distributions(ev, read_map: dict[int, int], num_bits: int) -> list:
+    """Each node's exact signed distribution: one sort of every nonzero
+    (row, basis state) pair by (node, key), summed per pair in row order."""
+    from gatevm.sim import SignedDistribution
+
+    node, keys, signs, probs = _reference_pair_outcomes(ev, read_map)
+    mask = (1 << num_bits) - 1
+    nodes = np.arange(len(ev.reads) + 1)
+    pairs, index = np.unique((node << num_bits) | keys, return_inverse=True)
+    sums = np.bincount(index, weights=signs * probs)
+    keep = np.abs(sums) >= 1e-14
+    pairs, sums = pairs[keep], sums[keep]
+    edges = np.searchsorted(pairs >> num_bits, nodes).tolist()
+    return [SignedDistribution.from_arrays(pairs[a:b] & mask, sums[a:b], num_bits)
+            for a, b in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from gatevm.sim import SignedDistribution, linf_distance, run_exact
 from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
-from helpers import (bench_family_programs, random_circuit, reference_execute,
-                     reference_knit, reference_knit_range,
+from helpers import (bench_family_programs, random_circuit, reference_distributions,
+                     reference_execute, reference_knit, reference_knit_range,
                      reference_prefix_knit_range, reference_schedule)
 
 
@@ -555,6 +555,25 @@ def test_each_distinct_instance_evolves_once(monkeypatch):
 def test_simulator_entry_points_stay_bound_in_runtime():
     assert runtime.run_exact is sim.run_exact
     assert runtime.run_sampled is sim.run_sampled
+
+
+def test_exact_sums_equal_the_replaced_sort_on_random_reuse_programs(monkeypatch):
+    # Each key's pairs are added in row order in both, so the entries and
+    # their key order (which the knit's tables follow) are equal exactly.
+    rng = random.Random(12)
+    programs = [sign_then_identity_program(), internal_gate_program()]
+    while len(programs) < 24:
+        prog = random_reuse_program(rng)
+        if prog is not None:
+            programs.append(prog)
+    got = [execute(prog, mode="exact") for prog in programs]
+    monkeypatch.setattr(sim, "_distributions", reference_distributions)
+    for prog, results in zip(programs, got):
+        for a, b in zip(results.entries, execute(prog, mode="exact").entries):
+            assert len(a.distributions) == len(b.distributions)
+            for x, y in zip(a.distributions, b.distributions):
+                assert x.entries == y.entries
+                assert np.array_equal(x.keys, y.keys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from gatevm import sim
-from gatevm.circuit import Circuit, instr
+from gatevm.circuit import GATES_1Q, GATES_2Q, ROTATIONS, Circuit, instr
 from gatevm.decomp import decomposition_for
 from gatevm.sim import (
     BranchOverflowError,
@@ -21,7 +22,9 @@ from gatevm.sim import (
     total_variation,
 )
 
-from helpers import density_oracle, dense_unitary, random_circuit
+from helpers import (dense_unitary, density_oracle, random_circuit,
+                     reference_apply, reference_branch_norms,
+                     reference_distributions)
 
 
 def bell() -> Circuit:
@@ -294,3 +297,162 @@ def test_run_batch_refuses_slots_that_do_not_number_the_instances():
         sim.run_batch(Circuit(1, [sim.Slot(0, acts, stride=2)]), 12)
     with pytest.raises(SimulationError, match="do not fill"):
         sim.run_batch(Circuit(1, [sim.Slot(0, acts)]), 9)
+
+
+def test_sampled_run_batch_refuses_missing_or_miscounted_seeds(monkeypatch):
+    # Refused before any leaf evolves: one seed per instance or nothing.
+    def never(*args):
+        raise AssertionError("evolved before the seeds were checked")
+
+    acts = tuple(e.a for e in decomposition_for("cx").entries)
+    slot = Circuit(1, [sim.Slot(0, acts)])
+    monkeypatch.setattr(sim, "_evolve", never)
+    for c, count, seeds in ((bell(), 1, None), (bell(), 1, []),
+                            (bell(), 1, [1, 2]), (slot, 6, None),
+                            (slot, 6, list(range(5)))):
+        with pytest.raises(SimulationError, match="one seed per instance"):
+            sim.run_batch(c, count, 100, seeds)
+
+
+# ---------------------------------------------------------------------------
+# the branch path against the code it replaced (tests/helpers.py)
+
+def _gate_cases(n: int):
+    for kind in sorted(GATES_1Q):
+        mat = sim.gate_matrix(kind, 0.37 if kind in ROTATIONS else None)
+        for q in range(n):
+            yield mat, (q,)
+    for kind in sorted(GATES_2Q):
+        mat = sim.two_qubit_matrix(kind, 0.37 if kind in ROTATIONS else None)
+        for pair in itertools.permutations(range(n), 2):
+            yield mat, pair
+
+
+# Row count -> node of each row (nondecreasing, as in an evolution).
+_NODE_LAYOUTS = {0: [[]], 1: [[0]],
+                 3: [[0, 0, 0], [0, 1, 2], [0, 0, 1]],
+                 8: [[0] * 8, list(range(8)), [0, 0, 0, 1, 2, 2, 2, 2]]}
+
+
+def _check_gate_product(amps, node, mat, qubits, n):
+    picked = np.flatnonzero(node % 2 == 0)
+    ev = sim._Evolution(amps.copy(), node, *[None] * 5)
+    sim._apply(ev, mat, qubits, n)
+    want = reference_apply(amps, mat, qubits, n, node)
+    assert np.array_equal(ev.amps.view(float), want.view(float)), \
+        (node, qubits)
+    ev = sim._Evolution(amps.copy(), node, *[None] * 5)
+    sim._apply(ev, mat, qubits, n, picked)
+    want = amps.copy()
+    want[picked] = reference_apply(amps[picked], mat, qubits, n, node[picked])
+    assert np.array_equal(ev.amps.view(float), want.view(float)), \
+        (node, qubits, "selected rows")
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_gate_product_is_bit_identical_to_the_replaced_tensordot(n):
+    # Seeded shots depend on the last bit of every amplitude, so the product
+    # through the work buffers must equal np.tensordot's bit for bit: on all
+    # rows, on the rows of the even nodes, which a slot operation selects
+    # the way the replaced engine did (gathered, applied, scattered back),
+    # and along a chain of products, each read from the one before it.
+    # n = 2 and 3 give two-qubit gates fewer than four columns per row.
+    rng = np.random.default_rng(n)
+    for rows, layouts in _NODE_LAYOUTS.items():
+        amps = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+        for layout in layouts:
+            node = np.array(layout, dtype=np.int64)
+            chain = sim._Evolution(amps.copy(), node, *[None] * 5)
+            chained = amps
+            for mat, qubits in _gate_cases(n):
+                _check_gate_product(amps, node, mat, qubits, n)
+                sim._apply(chain, mat, qubits, n)
+                chained = reference_apply(chained, mat, qubits, n, node)
+            assert np.array_equal(chain.amps.view(float), chained.view(float)), \
+                (rows, layout, "chain")
+
+
+def test_branch_norms_match_the_replaced_strided_sum():
+    # Only the prune test reads these norms: the same decisions, and values
+    # within rounding of the strided sum's.
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        amps = rng.normal(size=(5, 1 << n)) + 1j * rng.normal(size=(5, 1 << n))
+        amps[1] = 0.0
+        amps[2] *= 1e-16  # squared norms near 1e-30 * 2^n
+        for q in range(n):
+            state = amps.copy()
+            state[3].reshape(-1, 2, 1 << q)[:, 1] = 0.0
+            got = sim._branch_norms(state, q)
+            want = reference_branch_norms(state, q)
+            assert got.shape == (5, 2)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            assert np.array_equal(got >= sim._PRUNE_NORM_SQ,
+                                  want >= sim._PRUNE_NORM_SQ)
+
+
+def _aggregation_circuits():
+    """Hand-built circuits whose keys the exact sums must group right."""
+    unread = Circuit(3, num_clbits=1)  # q1 collapses unread, q2 never measured
+    unread.instructions = [
+        instr("h", 0), instr("ry", 1, angle=0.8), instr("cx", 0, 2),
+        instr("measure", 1), instr("cx", 1, 0), instr("ry", 2, angle=0.3),
+        instr("measure", 0, clbit=0)]
+    signed = Circuit(3, num_clbits=1)  # mid-circuit and final sign-only reads
+    signed.instructions = [
+        instr("ry", 0, angle=1.1), instr("h", 1), instr("cx", 1, 2),
+        instr("measure", 0, sign=True), instr("cx", 0, 1),
+        instr("measure", 1, sign=True), instr("measure", 2, clbit=0)]
+    silent = Circuit(3)  # no measurement: keys over all qubits
+    silent.instructions = [
+        instr("h", 0), instr("ry", 1, angle=0.4), instr("cx", 0, 2),
+        instr("reset", 0), instr("h", 0), instr("cz", 0, 1)]
+    rewritten = Circuit(2, num_clbits=1)  # c0 recorded mid-circuit, then read
+    rewritten.instructions = [
+        instr("ry", 0, angle=0.9), instr("ry", 1, angle=2.0),
+        instr("measure", 0, clbit=0), instr("h", 0), instr("cx", 0, 1),
+        instr("measure", 1, clbit=0)]
+    shared = Circuit(2, [instr("h", 0), instr("h", 1)], num_clbits=1)
+    shared.add("measure", 0, clbit=0)  # two qubits read into one clbit
+    shared.add("measure", 1, clbit=0)
+    return [unread, signed, silent, rewritten, shared]
+
+
+def test_exact_sums_equal_the_replaced_sort_on_hand_built_circuits(monkeypatch):
+    circuits = _aggregation_circuits()
+    got = [run_exact(c) for c in circuits]
+    monkeypatch.setattr(sim, "_distributions", reference_distributions)
+    for c, dist in zip(circuits, got):
+        want = run_exact(c)
+        assert dist.entries == want.entries
+        assert np.array_equal(dist.keys, want.keys)
+        assert dist.num_bits == want.num_bits
+    assert got[-1].entries == pytest.approx({0: 0.25, 1: 0.75}, abs=1e-12)
+    assert len(got[2].entries) > 2 and got[2].num_bits == 3
+
+
+def test_branching_run_holds_the_state_and_two_work_buffers():
+    # 64 branches of 1024 amplitudes (a 1 MiB state), then gates on them. The
+    # evolution holds the state and two work buffers of its size: 3.04 MiB
+    # measured (the replaced tensordot path peaked at 3.03 MiB over the whole
+    # run). It drops the buffers before the outputs are summed, which holds
+    # the state, its squared magnitudes, their bins and an index over the
+    # 2^16 (row group, basis state) bins: 3.21 MiB measured. The bounds
+    # leave a 10% margin, so buffers that outgrow the state do not pass
+    # unnoticed.
+    c = Circuit(10, [instr("h", q) for q in range(10)]
+                + [instr("measure", q, clbit=q) for q in range(6)]
+                + [instr("x", q) for q in range(6)]
+                + [instr("cx", 6, 7), instr("h", 0)], num_clbits=6)
+    assert len(run_exact(c).entries) == 1 << 6
+    peaks = []
+    for run in (lambda: sim._evolve(sim._Steps.of(c), np.zeros(1, dtype=np.int64)),
+                lambda: run_exact(c)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 3.35 * (1 << 20)
+    assert peaks[1] < 3.53 * (1 << 20)
