@@ -199,7 +199,8 @@ def _kl_cut_plan(graph: nx.Graph, s: int,
 def _apply_cut(vc: VirtualCircuit,
                cut_edges: list[tuple[int, int]],
                budget: int) -> VirtualCircuit:
-    total = sum(vc.qubit_graph[u][v]["weight"] for u, v in cut_edges)
+    graph = vc.qubit_graph
+    total = sum(graph[u][v]["weight"] for u, v in cut_edges)
     out = vc.copy()
     if total > budget:
         return out  # over budget: no gate is virtualized

@@ -65,6 +65,10 @@ class KnitOverflowError(ExecutionError):
     pass
 
 
+class KnitKeyWidthError(ExecutionError):
+    """Output keys are int64, so bit 63 and above would wrap."""
+
+
 # ---------------------------------------------------------------------------
 # instantiator
 
@@ -374,6 +378,10 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
         raise KnitShapeError(
             f"coefficient vector has {len(coeffs.values)} entries, "
             f"expected {total}")
+    top_bit = max([results.num_clbits - 1]
+                  + [c for e in results.entries for c in e.clbit_map])
+    if top_bit >= 63:
+        raise KnitKeyWidthError(f"output bit {top_bit} does not fit an int64 key")
     tables = _fragment_tables(results)
     size = math.prod(union.size for _, union, _ in tables)
     if size > MAX_KNIT_ENTRIES:

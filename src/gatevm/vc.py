@@ -2,13 +2,13 @@
 
 A :class:`VirtualCircuit` extends the instruction stream with virtual
 gates, each realized as two independently schedulable per-qubit sides. The
-stream is the only dependency state. One graph is maintained incrementally:
-the qubit graph (qubits weighted by the number of real two-qubit gates
-between them), whose connected components are the fragments. The operation
-graph (a DAG of real two-qubit gates linked by direct qubit dependencies)
-is built from the stream on request for the DOT dump
-(:func:`operation_graph`). Qubit dependencies come from one forward sweep
-over the stream (:func:`dependency_masks`).
+stream, the gates' original qubits, the virtual gates and the qubits' wires
+are the only state. Both graphs are derived from them on request: the qubit
+graph (qubits weighted by the number of real two-qubit gates between them),
+whose connected components are the fragments, and the operation graph (a
+DAG of real two-qubit gates linked by direct qubit dependencies) for the
+DOT dump (:func:`operation_graph`). Qubit dependencies come from one
+forward sweep over the stream (:func:`dependency_masks`).
 
 Instructions reference *wires*. Initially wire i hosts qubit i; the qubit
 reuse pass may later merge several qubits onto one wire. The graphs always
@@ -16,7 +16,7 @@ speak about original qubits.
 
 A VirtualCircuit is mutated by one caller at a time; concurrent reads are
 fine. Stream elements are frozen, so a copy shares them and owns only its
-containers and the qubit graph.
+containers.
 """
 from __future__ import annotations
 
@@ -89,18 +89,31 @@ def element_wires(x) -> tuple[int, ...]:
 
 @dataclass
 class VirtualCircuit:
-    """The IR of one circuit. A :meth:`copy` shares the frozen stream
-    elements and owns its list, dicts and qubit graph."""
+    """The IR of one circuit; its fields are all its state, and its graphs
+    are derived. A :meth:`copy` shares the frozen stream elements."""
 
     num_qubits: int
     num_clbits: int
     instructions: list[VInstruction]
-    qubit_graph: nx.Graph
     gate_qubits: dict[int, tuple[int, int]]  # gate id -> original qubits
     # creation order, which is the program's gate order
     virtual_gates: dict[int, VirtualGate] = field(default_factory=dict)
     wire_of: dict[int, int] = field(default_factory=dict)  # qubit -> wire
     name: str = "circuit"
+
+    @property
+    def qubit_graph(self) -> nx.Graph:
+        """Qubit pairs weighted by their real gates, built on each read: a
+        pair enters at its first gate in id order, real or virtual, and is
+        left out when all its gates are virtual."""
+        weights: dict[tuple[int, int], int] = {}
+        for gid, (qa, qb) in sorted(self.gate_qubits.items()):
+            pair = (min(qa, qb), max(qa, qb))
+            weights[pair] = weights.get(pair, 0) + (gid not in self.virtual_gates)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.num_qubits))
+        graph.add_weighted_edges_from((u, v, w) for (u, v), w in weights.items() if w)
+        return graph
 
     @property
     def fragments(self) -> list[Fragment]:
@@ -122,16 +135,14 @@ class VirtualCircuit:
         return max((f.width for f in self.fragments), default=0)
 
     def copy(self) -> "VirtualCircuit":
-        # Graph.copy copies each edge-data dict, so weight updates stay local.
         return replace(
             self, instructions=list(self.instructions),
-            qubit_graph=self.qubit_graph.copy(),
             gate_qubits=dict(self.gate_qubits),
             virtual_gates=dict(self.virtual_gates), wire_of=dict(self.wire_of))
 
 
 def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
-    """Convert a circuit into the IR, building the qubit graph in one traversal.
+    """Convert a circuit into the IR in one traversal.
 
     Measurements must be terminal per qubit and are re-appended at the end
     of the stream; a circuit without measurements is read as measuring every
@@ -168,23 +179,13 @@ def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
         measured = {q: q for q in range(c.num_qubits)}
         num_clbits = c.num_qubits
 
-    qubit_graph = nx.Graph()
-    qubit_graph.add_nodes_from(range(c.num_qubits))
     gate_qubits: dict[int, tuple[int, int]] = {}
     instructions: list[VInstruction] = []
-    next_id = 0
     for ins in gates:
         if ins.kind in GATES_2Q:
-            gid = next_id
-            next_id += 1
-            qa, qb = ins.qubits
-            instructions.append(Gate2(gid, ins.kind, (qa, qb), ins.angle))
-            gate_qubits[gid] = (qa, qb)
-            u, v = min(qa, qb), max(qa, qb)
-            if qubit_graph.has_edge(u, v):
-                qubit_graph[u][v]["weight"] += 1
-            else:
-                qubit_graph.add_edge(u, v, weight=1)
+            gid = len(gate_qubits)
+            gate_qubits[gid] = ins.qubits
+            instructions.append(Gate2(gid, ins.kind, ins.qubits, ins.angle))
         else:
             instructions.append(ins)
 
@@ -195,7 +196,6 @@ def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
         num_qubits=c.num_qubits,
         num_clbits=num_clbits,
         instructions=instructions,
-        qubit_graph=qubit_graph,
         gate_qubits=gate_qubits,
         wire_of={q: q for q in range(c.num_qubits)},
         name=name or c.name,
@@ -205,10 +205,10 @@ def from_circuit(c: Circuit, name: str | None = None) -> VirtualCircuit:
 def virt_gate(vc: VirtualCircuit, gate_id: int) -> VirtualCircuit:
     """Virtualize one real two-qubit gate in place.
 
-    The qubit-graph edge weight drops by one (edge removed at zero), and the
-    instruction is replaced by the gate's two sides, so the gate leaves the
-    operation graph, whose dependencies on its qubits now pass over it.
-    Fragments follow from the updated qubit graph.
+    The instruction is replaced by the gate's two sides and the gate is
+    recorded as virtual, so it leaves both derived graphs: its pair's
+    qubit-graph weight drops by one, and the operation graph's dependencies
+    on its qubits pass over it.
     """
     if gate_id in vc.virtual_gates:
         raise VcError(f"gate {gate_id} is already virtual")
@@ -219,18 +219,9 @@ def virt_gate(vc: VirtualCircuit, gate_id: int) -> VirtualCircuit:
     if pos is None:  # pragma: no cover - ids are only removed by this path
         raise VcError(f"gate {gate_id} not present in the stream")
     gate = vc.instructions[pos]
-
-    qa, qb = vc.gate_qubits[gate_id]
-    u, v = min(qa, qb), max(qa, qb)
-    weight = vc.qubit_graph[u][v]["weight"]
-    if weight == 1:
-        vc.qubit_graph.remove_edge(u, v)
-    else:
-        vc.qubit_graph[u][v]["weight"] = weight - 1
-
-    vgate = VirtualGate(gate_id, gate.kind, (qa, qb), gate.angle,
-                        decomposition_for(gate.kind, gate.angle))
-    vc.virtual_gates[gate_id] = vgate
+    vc.virtual_gates[gate_id] = VirtualGate(
+        gate_id, gate.kind, vc.gate_qubits[gate_id], gate.angle,
+        decomposition_for(gate.kind, gate.angle))
     vc.instructions[pos:pos + 1] = [
         VirtualSide(gate_id, "a", gate.qubits[0]),
         VirtualSide(gate_id, "b", gate.qubits[1]),
@@ -240,11 +231,10 @@ def virt_gate(vc: VirtualCircuit, gate_id: int) -> VirtualCircuit:
 
 def virt_between(vc: VirtualCircuit, q_i: int, q_j: int) -> VirtualCircuit:
     """Virtualize every real two-qubit gate acting on the pair (q_i, q_j)."""
-    u, v = min(q_i, q_j), max(q_i, q_j)
-    if not vc.qubit_graph.has_edge(u, v):
-        raise VcError(f"no qubit-graph edge between {q_i} and {q_j}")
     gate_ids = [x.id for x in vc.instructions if isinstance(x, Gate2)
-                and set(vc.gate_qubits[x.id]) == {u, v}]
+                and set(vc.gate_qubits[x.id]) == {q_i, q_j}]
+    if not gate_ids:
+        raise VcError(f"no qubit-graph edge between {q_i} and {q_j}")
     for gid in gate_ids:
         virt_gate(vc, gid)
     return vc
@@ -323,7 +313,7 @@ def op_graph_dot(vc: VirtualCircuit) -> str:
 def qubit_graph_dot(vc: VirtualCircuit) -> str:
     """Graphviz DOT rendering of the qubit graph."""
     lines = ["graph qubit_graph {"]
-    for q in sorted(vc.qubit_graph.nodes):
+    for q in range(vc.num_qubits):
         lines.append(f'  q{q};')
     for u, v, data in sorted(vc.qubit_graph.edges(data=True)):
         lines.append(f'  q{u} -- q{v} [label="{data["weight"]}"];')

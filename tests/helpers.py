@@ -16,11 +16,13 @@ incrementally maintained operation graph (a topological sort with a
 reachability walk, and frontier sweeps over graph predecessors and
 successors). That graph is built gate by gate in id
 order and then relinked around each virtual gate, without reading the
-stream's order. The router and the scheduler are checked against versions
-that rebuild the coupling graph, its all-pairs distances and every SWAP
-path on each call and look up every instruction's error rate. The QASM
-statement scanner is checked against the token parser it replaced, and
-the one-pass qubit reuser against the reuser that swept the stream for
+stream's order. The qubit graph derived from the IR is checked against the
+one the IR used to keep: weighted gate by gate in id order, then decremented
+per virtual gate, its edge removed at zero. The router and the scheduler
+are checked against versions that rebuild the coupling graph, its
+all-pairs distances and every SWAP path on each call and look up every
+instruction's error rate. The QASM statement scanner is checked against
+the token parser it replaced, and the one-pass qubit reuser against the reuser that swept the stream for
 wire masks before each merge and rewrote the stream at each merge. The
 statevector engine's gate products, branch norms and exact sums are
 checked against the `np.tensordot` product, the strided norm sum and the
@@ -523,6 +525,27 @@ def reference_op_graph(vc) -> nx.MultiDiGraph:
             if "pred" in link and "succ" in link:
                 op_graph.add_edge(link["pred"], link["succ"], key=q, qubit=q)
     return op_graph
+
+
+def reference_qubit_graph(vc) -> nx.Graph:
+    """The qubit graph, maintained incrementally: weight each gate's qubit
+    pair in id (circuit) order, adding the edge at its first gate, then drop
+    one per virtual gate in creation order, removing the edge at zero."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(vc.num_qubits))
+    for gid in sorted(vc.gate_qubits):
+        u, v = sorted(vc.gate_qubits[gid])
+        if graph.has_edge(u, v):
+            graph[u][v]["weight"] += 1
+        else:
+            graph.add_edge(u, v, weight=1)
+    for gid in vc.virtual_gates:
+        u, v = sorted(vc.gate_qubits[gid])
+        if graph[u][v]["weight"] == 1:
+            graph.remove_edge(u, v)
+        else:
+            graph[u][v]["weight"] -= 1
+    return graph
 
 
 def reference_dependency_pairs(op_graph, gate_qubits) -> set[tuple[int, int]]:

@@ -58,6 +58,18 @@ def test_compile_dump_graphs_after_the_passes(tmp_path, capsys):
         "}\n")
 
 
+def test_run_refuses_output_keys_past_63_bits(tmp_path, capsys):
+    src, prog = tmp_path / "ghz64.qasm", tmp_path / "ghz64.json"
+    assert main(["bench", "--family", "ghz", "--qubits", "64",
+                 "-o", str(src)]) == 0
+    assert main(["compile", str(src), "--max-fragment-size", "11",
+                 "--budget", "6", "--passes", "cc,dr", "-o", str(prog)]) == 0
+    assert main(["run", str(prog), "--mode", "sampled", "--shots", "200",
+                 "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output bit 63 ") and err.count("\n") == 1
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[2]; ccx q[0],q[1],q[0];")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gatevm import runtime, sim
+from gatevm.bench import BenchmarkSpec, generate_benchmark
 from gatevm.circuit import Circuit, instr
 from gatevm.codegen import Placeholder, generate
 from gatevm.passes import PassConfig, WidthUnreachableError, run_pipeline
@@ -19,6 +20,7 @@ from gatevm.runtime import (
     FragmentResults,
     GlobalCoefficients,
     InstantiationOverflowError,
+    KnitKeyWidthError,
     KnitOverflowError,
     KnitShapeError,
     NoFittingQpuError,
@@ -976,6 +978,25 @@ def test_knit_refuses_oversized_accumulator():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_knit_refuses_output_bits_past_63():
+    # Keys are int64. GHZ-64 cut into fragments of at most 11 qubits used to
+    # knit to 0...0 and -0...01 instead of 0...0 and 1...1; GHZ-63 fits.
+    def ghz(n):
+        circuit = generate_benchmark(BenchmarkSpec("ghz", n))
+        return generate(run_pipeline(from_circuit(circuit),
+                                     PassConfig(11, 6, 0), ("cc", "dr")))
+
+    for mode in ("exact", "sampled"):
+        with pytest.raises(KnitKeyWidthError, match="output bit 63 "):
+            run_program(ghz(64), mode, shots=200, seed=1)
+    ideal = SignedDistribution({0: 0.5, (1 << 63) - 1: 0.5}, 63)
+    assert linf_distance(run_program(ghz(63)), ideal) < 1e-12
+    # A clbit past 62 is refused even when num_clbits claims fewer bits.
+    entry = FragmentResultEntry(0, [], [63], [SignedDistribution({1: 1.0}, 1)])
+    with pytest.raises(KnitKeyWidthError):
+        knit(FragmentResults([entry], [], 8), GlobalCoefficients(np.ones(1), []))
 
 
 # ---------------------------------------------------------------------------
