@@ -7,10 +7,13 @@ as one batched statevector evolution. The knitter reconstructs the original
 circuit's quasi-distribution by summing, over all 6^k global instances,
 the coefficient-weighted Kronecker product of per-fragment result tables
 into one accumulator. It splits the fragments into two halves of balanced
-width, builds each half's row-wise Kronecker products for many instances
-at once, and adds a chunk of instances with one matrix product of its two
-halves. The global coefficient vector is split into contiguous ranges
-across a process pool.
+width and each half into blocks of adjacent fragments. A block's table,
+built once per call, has one row per digit tuple of the gates touching the
+block and holds at most KNIT_TABLE_ENTRIES entries; a lone fragment's table
+serves as it is. For many instances at once the knitter gathers each
+block's rows, forms each half's row-wise Kronecker product, and adds a
+chunk of instances with one matrix product of its two halves. The global
+coefficient vector is split into contiguous ranges across a process pool.
 """
 from __future__ import annotations
 
@@ -42,6 +45,9 @@ MAX_KNIT_ENTRIES = 1 << 22
 KNIT_CHUNK_ENTRIES = 1 << 16
 # Global instances whose table rows are found together, in whole chunks.
 KNIT_BLOCK = 1 << 12
+# A block table of adjacent fragments holds at most this many entries
+# (2 MiB); a lone fragment's table is used as it is, whatever its size.
+KNIT_TABLE_ENTRIES = 1 << 18
 _KNIT_OUTPUT_EPS = 1e-12
 
 
@@ -299,10 +305,56 @@ def _fragment_tables(results: FragmentResults):
     return tables or [([], np.zeros(1, dtype=np.int64), np.ones((1, 1)))]
 
 
-def _kron_rows(prefix, rows):
-    """Row-wise Kronecker product with the rows' axis outside the prefix's,
-    so numpy's innermost loop is the long one."""
-    return (rows[:, :, None] * prefix[:, None, :]).reshape(len(rows), -1)
+def _digit_index(instances, strides):
+    """Each global instance's row in a table over ``strides``, the
+    (global-stride, local-stride) pairs of its gates."""
+    index = np.zeros(len(instances), dtype=np.int64)
+    for gs, ls in strides:
+        index += instances // gs % 6 * ls
+    return index
+
+
+def _block_table(tables, members):
+    """Strides and table of a block of adjacent fragments. Its rows are the
+    digit tuples of the gates touching the block, last gate fastest; each row
+    is the Kronecker product of its fragments' rows at those digits, first
+    fragment fastest. A one-fragment block is that fragment's table itself."""
+    if len(members) == 1:
+        strides, _, table = tables[members[0]]
+        return strides, table
+    gates = sorted({gs for j in members for gs, _ in tables[j][0]}, reverse=True)
+    # Each fragment's table is viewed with one axis per block gate (its
+    # digit, or length 1 where the gate does not touch it), then one axis
+    # per fragment, the last outermost (its columns, or length 1); the block
+    # table is the broadcast product of the views.
+    block = np.ones(())
+    for c, j in enumerate(members):
+        strides, _, table = tables[j]
+        axes = [gates.index(gs) for gs, _ in strides]
+        view = table.reshape([6] * len(axes) + [table.shape[1]]).transpose(
+            sorted(range(len(axes)), key=axes.__getitem__) + [len(axes)])
+        block = block * view.reshape(
+            [6 if t in axes else 1 for t in range(len(gates))]
+            + [1] * (len(members) - 1 - c) + [table.shape[1]] + [1] * c)
+    return ([(gs, 6 ** (len(gates) - 1 - t)) for t, gs in enumerate(gates)],
+            block.reshape(6 ** len(gates), -1))
+
+
+def _half_tables(tables, members):
+    """One half's fragments, grouped greedily into blocks of adjacent
+    fragments whose tables hold at most KNIT_TABLE_ENTRIES entries (a lone
+    fragment always makes a block), as (strides, table) pairs."""
+    def entries(block):
+        gates = {gs for j in block for gs, _ in tables[j][0]}
+        return 6 ** len(gates) * math.prod(tables[j][2].shape[1] for j in block)
+
+    blocks = []
+    for j in members:
+        if blocks and entries(blocks[-1] + [j]) <= KNIT_TABLE_ENTRIES:
+            blocks[-1].append(j)
+        else:
+            blocks.append([j])
+    return [_block_table(tables, block) for block in blocks]
 
 
 def _knit_range(args):
@@ -318,6 +370,21 @@ def _knit_range(args):
     left, right = math.prod(widths[:split]), math.prod(widths[split:])
     # A sub-block: whole chunks whose halves are built together.
     sub = chunk * max(1, KNIT_CHUNK_ENTRIES // 4 // (chunk * max(left + right, 1)))
+    # Per table-block, in half order: its strides and table, built once; a
+    # buffer for a sub-block of its rows; and the row-wise Kronecker product
+    # of its half's rows so far, which for a half's first block is its rows.
+    steps, halves = [], []
+    for members in (range(split), range(split, len(tables))):
+        prefix = None
+        for strides, table in _half_tables(tables, members):
+            rows = np.empty((sub, table.shape[1]))
+            prod = rows if prefix is None else np.empty(
+                (len(rows), rows.shape[1] * prefix.shape[1]))
+            steps.append((strides, table, rows, prefix, prod))
+            prefix = prod
+        halves.append(prefix)
+    # The left half is weighted through its first block's rows.
+    weighted = steps[0][2] if split else None
     # One matrix product per chunk adds the outer products of its halves'
     # rows; a one-instance chunk makes that an outer product, which numpy
     # computes faster elementwise. The right half's axis is the accumulator's
@@ -329,20 +396,28 @@ def _knit_range(args):
         # Global instances with a nonzero coefficient, padded to whole chunks
         # by instance 0 with weight 0, which adds exact zeros.
         live = first + np.flatnonzero(coeff[first:min(first + block, end)])
-        pad = -live.size % chunk
-        weights, live = np.pad(coeff[live], (0, pad)), np.pad(live, (0, pad))
-        local = [sum((live // gs % 6 * ls for gs, ls in strides), np.zeros_like(live))
-                 for strides, _, _ in tables]
+        pad = np.zeros(-live.size % chunk, dtype=np.int64)
+        weights = np.concatenate([coeff[live], pad])
+        live = np.concatenate([live, pad])
+        # Each live instance's row in each block table.
+        index = [_digit_index(live, strides) for strides, *_ in steps]
         for lo in range(0, live.size, sub):
-            rows = [table[li[lo:lo + sub]] for (_, _, table), li in zip(tables, local)]
-            lhs = functools.reduce(_kron_rows, rows[:split], weights[lo:lo + sub, None])
-            rhs = functools.reduce(_kron_rows, rows[split:])
-            count = len(lhs) // chunk
+            n = min(sub, live.size - lo)
+            for (_, table, rows, prefix, prod), li in zip(steps, index):
+                # take writes straight into out under mode="clip" (every row
+                # is in range); under the default mode it buffers.
+                table.take(li[lo:lo + n], axis=0, out=rows[:n], mode="clip")
+                if rows is weighted:
+                    rows[:n] *= weights[lo:lo + n, None]
+                if prefix is not None:
+                    np.multiply(rows[:n, :, None], prefix[:n, None, :],
+                                out=prod[:n].reshape(n, rows.shape[1], -1))
+            lhs = halves[0][:n] if split else weights[lo:lo + n, None]
+            count = n // chunk
             for lc, rc in zip(lhs.reshape(count, chunk, left),
-                              rhs.reshape(count, chunk, right)):
+                              halves[1][:n].reshape(count, chunk, right)):
                 product(rc.T, lc, out=buf)
                 acc += buf
-            del rows, lhs, rhs, lc, rc  # before the next sub-block's halves
     return acc
 
 
@@ -357,16 +432,24 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
     accumulator spans the product Pi of the fragments' key-union sizes, with
     the first fragment's axis fastest. The fragments are split in two at the
     point that minimizes Pi_left + Pi_right, the products of the two sides'
-    key-union sizes. For a sub-block of whole chunks of
-    max(1, KNIT_CHUNK_ENTRIES // Pi) instances with a nonzero coefficient,
-    the left half is the coefficient-weighted row-wise Kronecker product of
-    the left fragments' rows, (instances, Pi_left), and the right half that
-    of the right fragments' rows, (instances, Pi_right). Each chunk adds the
-    matrix product of its transposed right half with its left half to the
-    (Pi_right, Pi_left) accumulator; a one-instance chunk adds their outer
-    product, computed elementwise. The coefficient vector is split into
-    ``workers`` contiguous ranges whose accumulators are added in worker
-    order as they arrive. Keys are computed for the kept entries only.
+    key-union sizes. Each side's adjacent fragments are grouped greedily into
+    blocks whose table, 6^g rows for the g gates touching the block by the
+    product of its fragments' key-union sizes, holds at most
+    KNIT_TABLE_ENTRIES entries; a lone fragment is a block whose table is
+    its own. Each worker builds its block tables once. For a sub-block of
+    whole chunks of max(1, KNIT_CHUNK_ENTRIES // Pi) instances with a
+    nonzero coefficient, each block's rows are gathered; the left half is
+    the coefficient-weighted row-wise Kronecker product of the left blocks'
+    rows, (instances, Pi_left), and the right half that of the right blocks'
+    rows, (instances, Pi_right). Each chunk adds the matrix product of its
+    transposed right half with its left half to the (Pi_right, Pi_left)
+    accumulator; a one-instance chunk adds their outer product, computed
+    elementwise. The coefficient vector is split into ``workers`` contiguous
+    ranges whose accumulators are added in worker order as they arrive.
+    Keys are computed for the kept entries only. Clbit maps that share an
+    output bit across fragments or leave the ``num_clbits`` output bits are
+    refused with :class:`KnitShapeError`, and output bits at 63 or above
+    with :class:`KnitKeyWidthError`, before any table is built.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -378,10 +461,23 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
         raise KnitShapeError(
             f"coefficient vector has {len(coeffs.values)} entries, "
             f"expected {total}")
-    top_bit = max([results.num_clbits - 1]
-                  + [c for e in results.entries for c in e.clbit_map])
+    clbits = [c for e in results.entries for c in e.clbit_map]
+    top_bit = max([results.num_clbits - 1] + clbits)
     if top_bit >= 63:
         raise KnitKeyWidthError(f"output bit {top_bit} does not fit an int64 key")
+    outside = sorted({c for c in clbits if not 0 <= c < results.num_clbits})
+    if outside:
+        raise KnitShapeError(f"clbit map entries {outside} lie outside the "
+                             f"{results.num_clbits} output bits")
+    # One fragment may map two of its bits to one output bit: codegen does
+    # so for two qubits measured into one clbit, and the table's keys then
+    # hold what the engine gives an uncut circuit. Fragments must own
+    # disjoint output bits, or kept entries would share keys.
+    owner = {}
+    shared = sorted({c for j, e in enumerate(results.entries)
+                     for c in e.clbit_map if owner.setdefault(c, j) != j})
+    if shared:
+        raise KnitShapeError(f"output bits {shared} are shared across fragments")
     tables = _fragment_tables(results)
     size = math.prod(union.size for _, union, _ in tables)
     if size > MAX_KNIT_ENTRIES:

@@ -5,9 +5,10 @@ the package under test: dense Kronecker-product unitaries, density-matrix
 channel evolution, unpruned partition enumeration, a Floyd-Warshall
 reachability closure, and a knitter that loops over global instances in
 plain Python with dict accumulation. The knit kernel is also checked
-against the two chunked kernels it replaced: one sums full-width Kronecker
-rows, the other meets each chunk's Kronecker prefix with the last
-fragment's rows in one matrix product. The compiler's single-sweep passes
+against the three chunked kernels it replaced: one sums full-width Kronecker
+rows, one meets each chunk's Kronecker prefix with the last fragment's rows
+in one matrix product, and one rebuilds both halves' Kronecker products from
+fragment rows for every sub-block instead of gathering block-table rows. The compiler's single-sweep passes
 are checked against the algorithms they replaced: a predecessor-list DFS
 for a wire's dependency closure, a peephole optimizer that repeats whole
 rounds until no pair is left, a Kernighan-Lin cut plan that bisects
@@ -31,6 +32,7 @@ sort of every (row, basis state) pair that they replaced.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import random
 import re
@@ -472,6 +474,60 @@ def reference_prefix_knit_range(args):
             last.take(lis[-1], axis=0, out=rows)
             product(rows.T, term.reshape(chunk, prefix), out=buf)
             acc += buf
+    return acc
+
+
+def _kron_rows(prefix, rows):
+    """Row-wise Kronecker product with the rows' axis outside the prefix's,
+    so numpy's innermost loop is the long one."""
+    return (rows[:, :, None] * prefix[:, None, :]).reshape(len(rows), -1)
+
+
+def reference_halves_knit_range(args):
+    """The chunked knit kernel that the block tables replaced, kept as it
+    was: for every sub-block of instances, each fragment's rows are gathered
+    and each half's coefficient-weighted row-wise Kronecker product is built
+    anew, and one matrix product of a chunk's two halves adds the chunk.
+    Same arguments as ``runtime._knit_range``; returns a (Pi_right, Pi_left)
+    accumulator with the first fragment fastest. Chunk and block sizes
+    follow ``runtime``'s settings."""
+    start, end, coeff, tables = args
+    widths = [table.shape[1] for _, _, table in tables]
+    chunk = max(1, min(runtime.KNIT_CHUNK_ENTRIES // max(math.prod(widths), 1), end - start))
+    block = chunk * max(1, runtime.KNIT_BLOCK // chunk)
+    # The fragments before the split make the left half, which leads with the
+    # coefficient, and the rest the right half; the split minimizes the sum
+    # of the halves' widths, and a lone fragment makes a right half.
+    split = min(range(len(widths)),
+                key=lambda s: math.prod(widths[:s]) + math.prod(widths[s:]))
+    left, right = math.prod(widths[:split]), math.prod(widths[split:])
+    # A sub-block: whole chunks whose halves are built together.
+    sub = chunk * max(1, runtime.KNIT_CHUNK_ENTRIES // 4 // (chunk * max(left + right, 1)))
+    # One matrix product per chunk adds the outer products of its halves'
+    # rows; a one-instance chunk makes that an outer product, which numpy
+    # computes faster elementwise. The right half's axis is the accumulator's
+    # outer one, so the first fragment stays fastest.
+    buf = np.empty((right, left))
+    acc = np.zeros_like(buf)
+    product = np.matmul if chunk > 1 else np.multiply
+    for first in range(start, end, block):
+        # Global instances with a nonzero coefficient, padded to whole chunks
+        # by instance 0 with weight 0, which adds exact zeros.
+        live = first + np.flatnonzero(coeff[first:min(first + block, end)])
+        pad = -live.size % chunk
+        weights, live = np.pad(coeff[live], (0, pad)), np.pad(live, (0, pad))
+        local = [sum((live // gs % 6 * ls for gs, ls in strides), np.zeros_like(live))
+                 for strides, _, _ in tables]
+        for lo in range(0, live.size, sub):
+            rows = [table[li[lo:lo + sub]] for (_, _, table), li in zip(tables, local)]
+            lhs = functools.reduce(_kron_rows, rows[:split], weights[lo:lo + sub, None])
+            rhs = functools.reduce(_kron_rows, rows[split:])
+            count = len(lhs) // chunk
+            for lc, rc in zip(lhs.reshape(count, chunk, left),
+                              rhs.reshape(count, chunk, right)):
+                product(rc.T, lc, out=buf)
+                acc += buf
+            del rows, lhs, rhs, lc, rc  # before the next sub-block's halves
     return acc
 
 

@@ -37,8 +37,9 @@ from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
 from helpers import (bench_family_programs, random_circuit, reference_distributions,
-                     reference_execute, reference_knit, reference_knit_range,
-                     reference_prefix_knit_range, reference_schedule)
+                     reference_execute, reference_halves_knit_range, reference_knit,
+                     reference_knit_range, reference_prefix_knit_range,
+                     reference_schedule)
 
 
 def compiled(circuit, vgate_ids):
@@ -827,6 +828,24 @@ def dense_synthetic_results(gate_split, support_bits, seed):
             GlobalCoefficients(rng.normal(size=6 ** first), order))
 
 
+def chain_synthetic_results(count, bits, seed):
+    """``count`` fragments in a chain: fragment j touches gates j - 1 and j
+    where they exist, owns ``bits`` output bits, and weights all of its keys
+    in every instance, so adjacent fragments share a gate."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for j in range(count):
+        gates = [g for g in (j - 1, j) if 0 <= g < count - 1]
+        dists = [SignedDistribution.from_arrays(
+            np.arange(1 << bits), rng.normal(size=1 << bits), bits)
+            for _ in range(6 ** len(gates))]
+        entries.append(FragmentResultEntry(
+            j, gates, list(range(bits * j, bits * j + bits)), dists))
+    order = list(range(count - 1))
+    return (FragmentResults(entries, order, bits * count),
+            GlobalCoefficients(rng.normal(size=6 ** (count - 1)), order))
+
+
 def balanced_split(widths):
     """Where ``runtime._knit_range`` splits fragments of these key-union
     sizes: the point that minimizes Pi_left + Pi_right, the first such."""
@@ -858,36 +877,65 @@ def worker_ranges(total, workers):
             if bounds[w] < bounds[w + 1]]
 
 
+def halves_of(tables):
+    """The fragments of each half, as ``runtime._knit_range`` splits them."""
+    split = balanced_split([table.shape[1] for _, _, table in tables])
+    return range(split), range(split, len(tables))
+
+
+# The block-table bound: runtime's own, 0 (every block one fragment, so each
+# half is the row-wise Kronecker product of its fragments' rows), or 2^40
+# (every half one block).
+TABLE_BOUNDS = (None, 0, 1 << 40)
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 7, "all"])
 def test_knit_kernel_matches_replaced_kernel_and_reference(monkeypatch, chunk):
     # chunk: runtime's own rule, one or seven instances per chunk, or more
-    # than the 6^k global instances (then a whole worker range). Both
-    # replaced kernels see the same settings.
+    # than the 6^k global instances (then a whole worker range). The
+    # replaced kernels see the same settings; the kernel runs under each
+    # table bound.
     cases = kernel_cases()
     synthetic = [union_sizes(results) for results, _ in cases[-8:]]
     assert synthetic == [[16], [8, 8], [2, 4, 16], [16, 4, 2], [8, 8, 1],
                          [16, 2, 2, 2], [2, 2, 2, 16], [8, 0]]
     assert [balanced_split(widths) for widths in synthetic] == [0, 1, 2, 1, 1, 1, 3, 0]
+    merged = 0
     for results, coeffs in cases:
         tables = runtime._fragment_tables(results)
         size = math.prod(union_sizes(results))
         if chunk is not None:
             per = len(coeffs) + 1 if chunk == "all" else chunk
             monkeypatch.setattr(runtime, "KNIT_CHUNK_ENTRIES", per * max(size, 1))
+        merged += sum(len(runtime._half_tables(tables, half)) < len(half)
+                      for half in halves_of(tables))
         for workers in (1, 2, 3):
             for start, end in worker_ranges(len(coeffs), workers):
                 args = (start, end, coeffs.values, tables)
-                got = runtime._knit_range(args).ravel()
-                for replaced in (reference_prefix_knit_range, reference_knit_range):
-                    old = replaced(args).ravel()
-                    assert got.shape == old.shape == (size,)
-                    assert np.max(np.abs(got - old), initial=0.0) <= 1e-12
+                olds = [replaced(args).ravel() for replaced in (
+                    reference_halves_knit_range, reference_prefix_knit_range,
+                    reference_knit_range)]
+                for bound in TABLE_BOUNDS:
+                    with monkeypatch.context() as m:
+                        if bound is not None:
+                            m.setattr(runtime, "KNIT_TABLE_ENTRIES", bound)
+                        got = runtime._knit_range(args).ravel()
+                    for old in olds:
+                        assert got.shape == old.shape == (size,)
+                        assert np.max(np.abs(got - old), initial=0.0) <= 1e-12
+        # The same kept keys as the reference, and under every bound as
+        # through the replaced kernel.
         assert_knit_matches_reference(results, coeffs, (1, 2, 3))
-        # The same kept keys as through the replaced kernel.
-        got = knit(results, coeffs)
         with monkeypatch.context() as m:
-            m.setattr(runtime, "_knit_range", reference_prefix_knit_range)
-            assert_same_knit(got, knit(results, coeffs))
+            m.setattr(runtime, "_knit_range", reference_halves_knit_range)
+            expected = knit(results, coeffs)
+        for bound in TABLE_BOUNDS:
+            with monkeypatch.context() as m:
+                if bound is not None:
+                    m.setattr(runtime, "KNIT_TABLE_ENTRIES", bound)
+                assert_same_knit(knit(results, coeffs), expected)
+    # Under runtime's bound, some halves hold multi-fragment blocks.
+    assert merged >= 8
 
 
 def traced_knit_peak(results, coeffs, workers=1):
@@ -939,6 +987,41 @@ def test_knit_range_holds_one_sub_block_of_halves():
     finally:
         tracemalloc.stop()
     assert peak < 16.45 * (8 * size)
+
+
+def test_knit_range_holds_block_tables_and_one_sub_block():
+    # Five 3-bit fragments in a chain, Pi = 2^15, split 2|3. The left half's
+    # fragments share gate 0 and make one 36 x 64 block table; the right
+    # half's share gates 1-3 and make one 216 x 512 table (3.38 x 8 Pi). The
+    # kernel that rebuilt each half per sub-block held 3.37 x 8 Pi: the
+    # accumulator, the product buffer, the index arrays and one sub-block's
+    # halves. With the block tables 6.19 x 8 Pi was measured. The bound is
+    # the tables plus those terms with a 10% margin.
+    results, coeffs = chain_synthetic_results(5, 3, seed=3)
+    size = 1 << 15
+    assert math.prod(union_sizes(results)) == size
+    tables = runtime._fragment_tables(results)
+    blocks = [runtime._half_tables(tables, half) for half in halves_of(tables)]
+    assert [[table.shape for _, table in half] for half in blocks] == \
+        [[(36, 64)], [(216, 512)]]
+    entries = sum(table.size for half in blocks for _, table in half)
+    tracemalloc.start()
+    try:
+        runtime._knit_range((0, len(coeffs), coeffs.values, tables))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * entries + 3.7 * (8 * size)
+    # The (2, 2, 2) workload of 4-bit fragments: its right half would need a
+    # 6^4 x 256 table, over the bound, so it is two one-fragment blocks, each
+    # its fragment's own table.
+    results, _ = dense_synthetic_results((2, 2, 2), 4, seed=5)
+    tables = runtime._fragment_tables(results)
+    _, right = halves_of(tables)
+    assert 6 ** 4 * 16 * 16 > runtime.KNIT_TABLE_ENTRIES
+    blocks = runtime._half_tables(tables, right)
+    assert len(blocks) == 2
+    assert all(table is tables[j][2] for (_, table), j in zip(blocks, right))
 
 
 def test_knit_workers_add_their_parts_as_they_arrive():
@@ -997,6 +1080,75 @@ def test_knit_refuses_output_bits_past_63():
     entry = FragmentResultEntry(0, [], [63], [SignedDistribution({1: 1.0}, 1)])
     with pytest.raises(KnitKeyWidthError):
         knit(FragmentResults([entry], [], 8), GlobalCoefficients(np.ones(1), []))
+
+
+def ghz6_results():
+    circuit = generate_benchmark(BenchmarkSpec("ghz", 6))
+    prog = generate(run_pipeline(from_circuit(circuit), PassConfig(3, 3, 0),
+                                 ("cc", "dr", "qr")))
+    assert [list(pc.clbit_map) for pc in prog.fragments] == [[0, 1, 2], [3, 4, 5]]
+    return execute(prog), global_coefficients(prog)
+
+
+def with_clbit_map(results, fragment, clbit_map):
+    entries = list(results.entries)
+    entries[fragment] = replace(entries[fragment], clbit_map=clbit_map)
+    return replace(results, entries=entries)
+
+
+def test_knit_refuses_overlapping_or_out_of_range_clbit_maps():
+    # GHZ-6 cut in two 3-qubit fragments. With clbit 5 moved to 40 it used to
+    # knit to key 1 099 511 627 838 over 6 output bits; with an output bit
+    # shared by both fragments, keys collided. Each map is refused before
+    # any table is built.
+    results, coeffs = ghz6_results()
+    assert knit(results, coeffs).entries == pytest.approx({0: 0.5, 63: 0.5})
+    for fragment, clbit_map, match in (
+            (1, [3, 4, 40], r"entries \[40\] lie outside the 6 output bits"),
+            (1, [3, 4, 6], r"entries \[6\] lie outside"),
+            (0, [-1, 1, 2], r"entries \[-1\] lie outside"),
+            (1, [3, 4, 2], r"output bits \[2\] are shared across fragments"),
+            (0, [0, 4, 2], r"output bits \[4\] are shared")):
+        broken = with_clbit_map(results, fragment, clbit_map)
+        tracemalloc.start()
+        try:
+            with pytest.raises(KnitShapeError, match=match):
+                knit(broken, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("vgates", [(), (1,)])
+@pytest.mark.parametrize("reads", [(0, 1), (1, 0)])
+def test_knit_accepts_two_reads_into_one_clbit_within_a_fragment(vgates, reads):
+    # Qubits 0 and 1 share a fragment and are both read into clbit 0, which
+    # codegen maps as [0, 0, ...]; uncut, or with gate 1 cut off qubit 2's
+    # fragment, the knit equals the engine's output for the whole circuit.
+    c = Circuit(3, [instr("h", 0), instr("ry", 1, angle=0.7), instr("cx", 1, 0),
+                    instr("ry", 2, angle=0.3), instr("cx", 1, 2)], num_clbits=2)
+    for q in reads:
+        c.add("measure", q, clbit=0)
+    c.add("measure", 2, clbit=1)
+    prog = compiled(c, vgates)
+    assert prog.fragments[0].clbit_map[:2] == [0, 0]
+    assert len(prog.fragments) == 1 + len(vgates)
+    assert_same_knit(run_program(prog), run_exact(c))
+
+
+def test_bench_family_programs_have_disjoint_in_range_clbit_maps():
+    # Valid programs pass the check: their maps are disjoint and in range,
+    # and those with at most three virtual gates knit.
+    knitted = 0
+    for prog in bench_family_programs(random.Random(2323), 120, max_qubits=8):
+        clbits = [c for pc in prog.fragments for c in pc.clbit_map]
+        assert len(set(clbits)) == len(clbits)
+        assert all(0 <= c < prog.num_clbits for c in clbits)
+        if prog.num_virtual_gates <= 3:
+            assert knit(execute(prog), global_coefficients(prog)).num_bits == prog.num_clbits
+            knitted += 1
+    assert knitted >= 60
 
 
 # ---------------------------------------------------------------------------

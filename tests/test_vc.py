@@ -236,6 +236,60 @@ def test_to_circuit_round_trip():
         to_circuit(vc)
 
 
+PASS_ORDERS = [("cc", "dr", "qr"), ("dr", "cc", "qr"), ("cc", "dr"),
+               ("qr", "cc"), ("dr", "qr"), ("cc", "qr", "dr")]
+
+
+def ir_states(seed):
+    """(label, IR) pairs from 340 random circuits of 3-8 qubits: each IR
+    fresh, with some of its gates virtualized, merged by ``qr`` where that
+    frees a wire, and through a random pass pipeline, exact or heuristic,
+    where the passes reach the width."""
+    rng = random.Random(seed)
+    for trial in range(340):
+        n = rng.randint(3, 8)
+        c = random_circuit(rng, n, rng.randint(2, 4 * n),
+                           two_qubit_prob=rng.uniform(0.3, 0.8))
+        vc = from_circuit(c)
+        yield "fresh", vc
+        virtual = vc.copy()
+        gids = sorted(virtual.gate_qubits)
+        k = min(len(gids), rng.randint(1, max(1, len(gids) // 2)))
+        for gid in rng.sample(gids, k):
+            virt_gate(virtual, gid)
+        yield "virtual", virtual
+        try:
+            merged = reuse_qubits(virtual, PassConfig(
+                max_fragment_size=max(1, virtual.max_fragment_width() - 1),
+                budget=0, seed=trial))
+            if len(set(merged.wire_of.values())) < n:
+                yield "merged", merged
+        except WidthUnreachableError:
+            pass
+        config = PassConfig(max_fragment_size=rng.randint(2, n - 1),
+                            budget=rng.randint(0, 5), seed=trial % 3,
+                            exact=rng.random() < 0.3)
+        # Only the exact search may also refuse an instance as too large.
+        skipped = (PassError if config.exact
+                   else (WidthUnreachableError, WireSplitError))
+        try:
+            pipeline = run_pipeline(vc, config, rng.choice(PASS_ORDERS))
+        except skipped:
+            continue
+        yield "pipeline", pipeline
+
+
+def assert_each_state_matches(seed, state, derived, reference):
+    """``derived`` and ``reference`` agree on ``state`` for every IR of
+    ``ir_states(seed)``: at least 1 000 IRs, and 100 of each kind."""
+    seen = {"fresh": 0, "virtual": 0, "merged": 0, "pipeline": 0}
+    for label, ir in ir_states(seed):
+        assert state(derived(ir)) == state(reference(ir))
+        seen[label] += 1
+    assert sum(seen.values()) >= 1000, seen
+    assert min(seen.values()) >= 100, seen
+
+
 def test_operation_graph_matches_incremental_reference():
     # The graph derived from the stream equals the incrementally maintained
     # reference (built in gate-id order, relinked per virtual gate), keys
@@ -244,45 +298,7 @@ def test_operation_graph_matches_incremental_reference():
         return (sorted(g.nodes(data=True)),
                 sorted(g.edges(keys=True, data=True)))
 
-    rng = random.Random(2718)
-    seen = {"fresh": 0, "virtual": 0, "merged": 0, "pipeline": 0}
-    for trial in range(340):
-        n = rng.randint(3, 8)
-        c = random_circuit(rng, n, rng.randint(2, 4 * n),
-                           two_qubit_prob=rng.uniform(0.3, 0.8))
-        vc = from_circuit(c)
-        irs = [("fresh", vc)]
-        virtual = vc.copy()
-        gids = sorted(virtual.gate_qubits)
-        k = min(len(gids), rng.randint(1, max(1, len(gids) // 2)))
-        for gid in rng.sample(gids, k):
-            virt_gate(virtual, gid)
-        irs.append(("virtual", virtual))
-        try:
-            merged = reuse_qubits(virtual, PassConfig(
-                max_fragment_size=max(1, virtual.max_fragment_width() - 1),
-                budget=0, seed=trial))
-            if len(set(merged.wire_of.values())) < n:
-                irs.append(("merged", merged))
-        except WidthUnreachableError:
-            pass
-        order = rng.choice([("cc", "dr", "qr"), ("dr", "cc", "qr"),
-                            ("qr", "cc"), ("dr", "qr")])
-        try:
-            irs.append(("pipeline", run_pipeline(vc, PassConfig(
-                max_fragment_size=rng.randint(2, n - 1),
-                budget=rng.randint(0, 3), seed=trial), order)))
-        except (WidthUnreachableError, WireSplitError):
-            pass
-        for label, ir in irs:
-            assert state(operation_graph(ir)) == state(reference_op_graph(ir))
-            seen[label] += 1
-    assert sum(seen.values()) >= 1000, seen
-    assert min(seen.values()) >= 100, seen
-
-
-PASS_ORDERS = [("cc", "dr", "qr"), ("dr", "cc", "qr"), ("cc", "dr"),
-               ("qr", "cc"), ("dr", "qr"), ("cc", "qr", "dr")]
+    assert_each_state_matches(2718, state, operation_graph, reference_op_graph)
 
 
 def test_qubit_graph_matches_incremental_reference():
@@ -293,40 +309,8 @@ def test_qubit_graph_matches_incremental_reference():
         return (list(g.nodes), sorted(g.edges(data="weight")),
                 [(u, list(nbrs.items())) for u, nbrs in g.adjacency()])
 
-    rng = random.Random(1618)
-    seen = {"fresh": 0, "virtual": 0, "merged": 0, "pipeline": 0}
-    for trial in range(340):
-        n = rng.randint(3, 8)
-        c = random_circuit(rng, n, rng.randint(2, 4 * n),
-                           two_qubit_prob=rng.uniform(0.3, 0.8))
-        vc = from_circuit(c)
-        irs = [("fresh", vc)]
-        virtual = vc.copy()
-        gids = sorted(virtual.gate_qubits)
-        k = min(len(gids), rng.randint(1, max(1, len(gids) // 2)))
-        for gid in rng.sample(gids, k):
-            virt_gate(virtual, gid)
-        irs.append(("virtual", virtual))
-        try:
-            merged = reuse_qubits(virtual, PassConfig(
-                max_fragment_size=max(1, virtual.max_fragment_width() - 1),
-                budget=0, seed=trial))
-            if len(set(merged.wire_of.values())) < n:
-                irs.append(("merged", merged))
-        except WidthUnreachableError:
-            pass
-        try:
-            irs.append(("pipeline", run_pipeline(vc, PassConfig(
-                max_fragment_size=rng.randint(2, n - 1),
-                budget=rng.randint(0, 5), seed=trial % 3,
-                exact=rng.random() < 0.3), rng.choice(PASS_ORDERS))))
-        except PassError:
-            pass
-        for label, ir in irs:
-            assert state(ir.qubit_graph) == state(reference_qubit_graph(ir))
-            seen[label] += 1
-    assert sum(seen.values()) >= 1000, seen
-    assert min(seen.values()) >= 100, seen
+    assert_each_state_matches(1618, state, lambda ir: ir.qubit_graph,
+                              reference_qubit_graph)
 
 
 def test_programs_are_unchanged_under_the_reference_qubit_graph(monkeypatch):
