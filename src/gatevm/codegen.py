@@ -1,14 +1,16 @@
 """Compiler backend: extract fragments as parameterized circuits.
 
 Each fragment becomes a circuit over its own wires with placeholder slots
-where virtual-gate sides act; a placeholder carries the six candidate local
-actions it can be instantiated with. A light peephole pass (self-inverse
-cancellation and rotation merging, with placeholders acting as barriers)
-runs once per fragment.
+where virtual-gate sides act; each placeholder carries the six candidate
+local actions it can be instantiated with, which the JSON form lists as
+``param_vectors`` in placeholder position order. A light peephole pass
+(self-inverse cancellation and rotation merging, with placeholders acting
+as barriers) runs once per fragment.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,26 +32,26 @@ class CodegenError(RuntimeError):
 
 @dataclass(frozen=True)
 class Placeholder:
-    """A parameterized slot for one side of a virtual gate."""
+    """A parameterized slot for one side of a virtual gate, with the six
+    local actions it takes, one per decomposition index."""
 
     gate_id: int
     side: str
     qubit: int  # fragment-local qubit
+    actions: tuple[LocalAction, ...]
 
 
 @dataclass
 class ParamCircuit:
-    """A fragment circuit with placeholder gates and their parameter vectors.
+    """A fragment circuit with placeholder gates.
 
-    ``elements`` interleaves concrete instructions and placeholders;
-    ``param_vectors`` holds, per placeholder (in element order), the six
-    candidate local actions. ``clbit_map`` and ``qubit_map`` translate local
-    output bits and wires back to the original circuit.
+    ``elements`` interleaves concrete instructions and placeholders.
+    ``clbit_map`` and ``qubit_map`` translate local output bits and wires
+    back to the original circuit.
     """
 
     num_qubits: int
     elements: list[Instruction | Placeholder]
-    param_vectors: list[tuple[LocalAction, ...]]
     clbit_map: list[int]
     qubit_map: list[int]
     fragment_index: int
@@ -68,23 +70,26 @@ class ParamCircuit:
         return [g for g in gate_order if g in mine]
 
     @property
+    def param_vectors(self) -> list[tuple[LocalAction, ...]]:
+        """Each placeholder's actions, in element order."""
+        return [el.actions for el in self.elements if isinstance(el, Placeholder)]
+
+    @property
     def num_clbits(self) -> int:
         return len(self.clbit_map)
 
+    def lowered(self, place: Callable[[Placeholder], Iterable]) -> Circuit:
+        """This fragment as a circuit whose placeholders are each replaced
+        by the steps ``place`` returns for it."""
+        steps = [step for el in self.elements for step in
+                 (place(el) if isinstance(el, Placeholder) else (el,))]
+        return Circuit(self.num_qubits, steps, name=self.name,
+                       num_clbits=self.num_clbits)
+
     def instantiate(self, assignment: dict[int, int]) -> Circuit:
         """Concrete circuit for one choice of decomposition index per gate."""
-        out: list[Instruction] = []
-        ph_idx = 0
-        for el in self.elements:
-            if isinstance(el, Placeholder):
-                action = self.param_vectors[ph_idx][assignment[el.gate_id]]
-                out.extend(action.to_instructions(el.qubit))
-                ph_idx += 1
-            else:
-                out.append(el)
-        return Circuit(self.num_qubits, out, name=self.name,
-                       num_clbits=self.num_clbits).validate()
-
+        return self.lowered(lambda el: el.actions[assignment[el.gate_id]]
+                            .to_instructions(el.qubit)).validate()
 
 
 @dataclass
@@ -121,12 +126,22 @@ def generate(vc: VirtualCircuit) -> CompiledProgram:
                                    f"{frag.index} share wire {w}")
             local_wire[w] = i
 
+    # Each fragment's output bits, sorted, and each bit's local index; a bit
+    # read twice in one fragment maps to its last index.
+    clbit_maps: list[list[int]] = [[] for _ in fragments]
+    for x in vc.instructions:
+        if isinstance(x, Instruction) and x.kind == "measure":
+            clbit_maps[wire_to_frag[x.qubits[0]]].append(x.clbit)
+    clbit_maps = [sorted(m) for m in clbit_maps]
+    local_clbit = [{c: i for i, c in enumerate(m)} for m in clbit_maps]
+
     elements: list[list[Instruction | Placeholder]] = [[] for _ in fragments]
-    clbits: list[list[int]] = [[] for _ in fragments]
     for x in vc.instructions:
         if isinstance(x, VirtualSide):
-            f = wire_to_frag[x.qubit]
-            elements[f].append(Placeholder(x.gate_id, x.side, local_wire[x.qubit]))
+            entries = vc.virtual_gates[x.gate_id].decomposition.entries
+            elements[wire_to_frag[x.qubit]].append(Placeholder(
+                x.gate_id, x.side, local_wire[x.qubit],
+                tuple(e.a if x.side == "a" else e.b for e in entries)))
         elif isinstance(x, Gate2):
             f = wire_to_frag[x.qubits[0]]
             if wire_to_frag[x.qubits[1]] != f:
@@ -134,40 +149,20 @@ def generate(vc: VirtualCircuit) -> CompiledProgram:
             elements[f].append(x.to_instruction().remap(local_wire))
         elif x.kind == "measure":
             f = wire_to_frag[x.qubits[0]]
-            clbits[f].append(x.clbit)
-            elements[f].append(replace(
-                x, qubits=(local_wire[x.qubits[0]],), clbit=None))
+            elements[f].append(replace(x, qubits=(local_wire[x.qubits[0]],),
+                                       clbit=local_clbit[f][x.clbit]))
         else:
             f = wire_to_frag[x.qubits[0]]
             elements[f].append(x.remap(local_wire))
 
-    param_circuits = []
-    for frag in fragments:
-        clbit_map = sorted(clbits[frag.index])
-        local_clbit = {c: i for i, c in enumerate(clbit_map)}
-        els = []
-        seen = 0
-        for el in elements[frag.index]:
-            if isinstance(el, Instruction) and el.kind == "measure":
-                els.append(replace(el, clbit=local_clbit[clbits[frag.index][seen]]))
-                seen += 1
-            else:
-                els.append(el)
-        vectors = []
-        for el in els:
-            if isinstance(el, Placeholder):
-                entries = vc.virtual_gates[el.gate_id].decomposition.entries
-                vectors.append(tuple(
-                    (e.a if el.side == "a" else e.b) for e in entries))
-        param_circuits.append(peephole_optimize(ParamCircuit(
-            num_qubits=len(frag.wires),
-            elements=els,
-            param_vectors=vectors,
-            clbit_map=clbit_map,
-            qubit_map=list(frag.wires),
-            fragment_index=frag.index,
-            name=f"{vc.name}_f{frag.index}",
-        )))
+    param_circuits = [peephole_optimize(ParamCircuit(
+        num_qubits=len(frag.wires),
+        elements=elements[frag.index],
+        clbit_map=clbit_maps[frag.index],
+        qubit_map=list(frag.wires),
+        fragment_index=frag.index,
+        name=f"{vc.name}_f{frag.index}",
+    )) for frag in fragments]
 
     coeffs = {gid: vg.decomposition.coefficients()
               for gid, vg in vc.virtual_gates.items()}
@@ -212,9 +207,7 @@ def peephole_optimize(pc: ParamCircuit) -> ParamCircuit:
         covered.append({w: top.get(w) for w in wires})
         top.update((w, len(els)) for w in wires)
         els.append(el)
-    return ParamCircuit(pc.num_qubits, [el for el in els if el is not None],
-                        list(pc.param_vectors), pc.clbit_map, pc.qubit_map,
-                        pc.fragment_index, pc.name)
+    return replace(pc, elements=[el for el in els if el is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +226,8 @@ def _action_from_json(data: list[dict]) -> LocalAction:
 def program_to_json(program: CompiledProgram) -> str:
     frags = []
     for pc in program.fragments:
-        skeleton = Circuit(
-            pc.num_qubits,
-            [el for el in pc.elements if not isinstance(el, Placeholder)],
-            name=pc.name, num_clbits=pc.num_clbits)
         frags.append({
-            "qasm": emit_qasm(skeleton),
+            "qasm": emit_qasm(pc.lowered(lambda el: ())),
             "placeholders": [
                 {"position": i, "gate": el.gate_id, "side": el.side,
                  "qubit": el.qubit}
@@ -269,15 +258,21 @@ def program_from_json(text: str) -> CompiledProgram:
     fragments = []
     for fd in doc["fragments"]:
         base = parse_qasm(fd["qasm"], name=fd["name"])
+        placeholders = sorted(fd["placeholders"], key=lambda p: p["position"])
+        if len(placeholders) != len(fd["param_vectors"]):
+            raise CodegenError(
+                f"fragment {fd['fragment_index']} ({fd['name']}) has "
+                f"{len(placeholders)} placeholders but "
+                f"{len(fd['param_vectors'])} parameter vectors")
         elements: list[Instruction | Placeholder] = list(base.instructions)
-        for ph in sorted(fd["placeholders"], key=lambda p: p["position"]):
-            elements.insert(ph["position"],
-                            Placeholder(ph["gate"], ph["side"], ph["qubit"]))
+        # The i-th vector belongs to the i-th placeholder in position order.
+        for ph, vec in zip(placeholders, fd["param_vectors"]):
+            elements.insert(ph["position"], Placeholder(
+                ph["gate"], ph["side"], ph["qubit"],
+                tuple(_action_from_json(a) for a in vec)))
         fragments.append(ParamCircuit(
             num_qubits=base.num_qubits,
             elements=elements,
-            param_vectors=[tuple(_action_from_json(a) for a in vec)
-                           for vec in fd["param_vectors"]],
             clbit_map=list(fd["clbit_map"]),
             qubit_map=list(fd["qubit_map"]),
             fragment_index=fd["fragment_index"],

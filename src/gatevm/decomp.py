@@ -100,22 +100,19 @@ _Z = _act("z")
 _X = _act("x")
 
 
-def _zz_rotation_entries(phi: float, map_b=None) -> tuple[DecompositionEntry, ...]:
-    """Six entries for exp(i*phi Z(x)Z); ``map_b`` post-processes B actions."""
+def _zz_rotation_entries(phi: float) -> tuple[DecompositionEntry, ...]:
+    """Six entries for exp(i*phi Z(x)Z)."""
     c, s = math.cos(phi), math.sin(phi)
     rp = _act(("rz", -HALF_PI))   # exp(+i pi Z / 4)
     rm = _act(("rz", HALF_PI))    # exp(-i pi Z / 4)
-    raw = (
-        (_IDENT, _IDENT, c * c),
-        (_Z, _Z, s * s),
-        (_MEAS_Z, rp, c * s),
-        (_MEAS_Z, rm, -c * s),
-        (rp, _MEAS_Z, c * s),
-        (rm, _MEAS_Z, -c * s),
+    return (
+        DecompositionEntry(_IDENT, _IDENT, c * c),
+        DecompositionEntry(_Z, _Z, s * s),
+        DecompositionEntry(_MEAS_Z, rp, c * s),
+        DecompositionEntry(_MEAS_Z, rm, -c * s),
+        DecompositionEntry(rp, _MEAS_Z, c * s),
+        DecompositionEntry(rm, _MEAS_Z, -c * s),
     )
-    if map_b is None:
-        return tuple(DecompositionEntry(a, b, w) for a, b, w in raw)
-    return tuple(DecompositionEntry(a, map_b(b), w) for a, b, w in raw)
 
 
 def rzz_decomposition(theta: float) -> GateDecomposition:

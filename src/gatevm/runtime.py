@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, instr
-from .codegen import CompiledProgram, ParamCircuit, Placeholder
+from .circuit import Circuit, instr
+from .codegen import CompiledProgram, ParamCircuit
 from .qpu import QpuModel
 # run_exact and run_sampled stay importable from here for callers that
 # look the simulator up through this module.
@@ -147,13 +147,7 @@ def global_coefficients(program: CompiledProgram) -> GlobalCoefficients:
 
 def metric_proxy(pc: ParamCircuit) -> Circuit:
     """Fragment circuit with each placeholder counted as one 1-qubit op."""
-    out: list[Instruction] = []
-    for el in pc.elements:
-        if isinstance(el, Placeholder):
-            out.append(instr("rz", el.qubit, angle=0.0))
-        else:
-            out.append(el)
-    return Circuit(pc.num_qubits, out, name=pc.name, num_clbits=pc.num_clbits)
+    return pc.lowered(lambda el: [instr("rz", el.qubit, angle=0.0)])
 
 
 def schedule(program: CompiledProgram, qpus: list[QpuModel], alpha: float,
@@ -250,11 +244,8 @@ def execute(program: CompiledProgram, assignment: dict[int, str] | None = None,
         kj = len(gate_ids)
         count = 6 ** kj
         stride = {gid: 6 ** (kj - 1 - t) for t, gid in enumerate(gate_ids)}
-        vectors = iter(pc.param_vectors)
-        circuit = Circuit(pc.num_qubits, [
-            Slot(el.qubit, next(vectors), stride[el.gate_id])
-            if isinstance(el, Placeholder) else el for el in pc.elements],
-            name=pc.name, num_clbits=pc.num_clbits)
+        circuit = pc.lowered(
+            lambda el: [Slot(el.qubit, el.actions, stride[el.gate_id])])
         if mode == "exact":
             dists = run_batch(circuit, count)
         else:
@@ -421,6 +412,27 @@ def _knit_range(args):
     return acc
 
 
+def _check_output_bits(clbit_maps: list[list[int]], num_clbits: int) -> None:
+    """Refuse the fragment clbit maps that :func:`knit` refuses."""
+    clbits = [c for m in clbit_maps for c in m]
+    top_bit = max([num_clbits - 1] + clbits)
+    if top_bit >= 63:
+        raise KnitKeyWidthError(f"output bit {top_bit} does not fit an int64 key")
+    outside = sorted({c for c in clbits if not 0 <= c < num_clbits})
+    if outside:
+        raise KnitShapeError(f"clbit map entries {outside} lie outside the "
+                             f"{num_clbits} output bits")
+    # One fragment may map two of its bits to one output bit: codegen does
+    # so for two qubits measured into one clbit, and the table's keys then
+    # hold what the engine gives an uncut circuit. Fragments must own
+    # disjoint output bits, or kept entries would share keys.
+    owner = {}
+    shared = sorted({c for j, m in enumerate(clbit_maps)
+                     for c in m if owner.setdefault(c, j) != j})
+    if shared:
+        raise KnitShapeError(f"output bits {shared} are shared across fragments")
+
+
 def knit(results: FragmentResults, coeffs: GlobalCoefficients,
          workers: int = 1) -> SignedDistribution:
     """Reconstruct the original circuit's signed distribution.
@@ -461,23 +473,7 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
         raise KnitShapeError(
             f"coefficient vector has {len(coeffs.values)} entries, "
             f"expected {total}")
-    clbits = [c for e in results.entries for c in e.clbit_map]
-    top_bit = max([results.num_clbits - 1] + clbits)
-    if top_bit >= 63:
-        raise KnitKeyWidthError(f"output bit {top_bit} does not fit an int64 key")
-    outside = sorted({c for c in clbits if not 0 <= c < results.num_clbits})
-    if outside:
-        raise KnitShapeError(f"clbit map entries {outside} lie outside the "
-                             f"{results.num_clbits} output bits")
-    # One fragment may map two of its bits to one output bit: codegen does
-    # so for two qubits measured into one clbit, and the table's keys then
-    # hold what the engine gives an uncut circuit. Fragments must own
-    # disjoint output bits, or kept entries would share keys.
-    owner = {}
-    shared = sorted({c for j, e in enumerate(results.entries)
-                     for c in e.clbit_map if owner.setdefault(c, j) != j})
-    if shared:
-        raise KnitShapeError(f"output bits {shared} are shared across fragments")
+    _check_output_bits([e.clbit_map for e in results.entries], results.num_clbits)
     tables = _fragment_tables(results)
     size = math.prod(union.size for _, union, _ in tables)
     if size > MAX_KNIT_ENTRIES:
@@ -510,6 +506,9 @@ def knit(results: FragmentResults, coeffs: GlobalCoefficients,
 def run_program(program: CompiledProgram, mode: str = "exact",
                 shots: int = 20000, seed: int = 0,
                 workers: int = 1) -> SignedDistribution:
-    """Instantiate, execute and knit in one call."""
+    """Instantiate, execute and knit in one call. Clbit maps the knit would
+    refuse are refused before any instance runs."""
+    _check_output_bits([pc.clbit_map for pc in program.fragments],
+                      program.num_clbits)
     results = execute(program, None, mode, shots, seed)
     return knit(results, global_coefficients(program), workers)

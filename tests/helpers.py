@@ -47,6 +47,7 @@ from gatevm import runtime
 from gatevm.circuit import Circuit, GATES_1Q, GATES_2Q, ROTATIONS, Instruction, instr
 from gatevm.codegen import CodegenError, ParamCircuit, Placeholder
 from gatevm.qasm import QasmIndexError, QasmSyntaxError, UnsupportedGateError
+from gatevm.sim import Slot
 from gatevm.vc import Gate2, VcError, VirtualSide, dependency_masks, element_wires
 
 # ---------------------------------------------------------------------------
@@ -831,12 +832,39 @@ def reference_peephole(pc: ParamCircuit) -> ParamCircuit:
         if changed:
             els = [replace(el, angle=retune[i]) if i in retune else el
                    for i, el in enumerate(els) if i not in remove]
-    vec_of = dict(zip([(el.gate_id, el.side) for el in pc.elements
-                       if isinstance(el, Placeholder)], pc.param_vectors))
-    vectors = [vec_of[(el.gate_id, el.side)] for el in els
-               if isinstance(el, Placeholder)]
-    return ParamCircuit(pc.num_qubits, els, vectors, pc.clbit_map,
-                        pc.qubit_map, pc.fragment_index, pc.name)
+    return ParamCircuit(pc.num_qubits, els, pc.clbit_map, pc.qubit_map,
+                        pc.fragment_index, pc.name)
+
+
+# ---------------------------------------------------------------------------
+# fragment lowerings before ParamCircuit.lowered, when the actions were a
+# list beside the placeholders that each lowering walked with a counter
+
+def reference_instantiate(pc: ParamCircuit, assignment: dict[int, int]) -> Circuit:
+    """The concrete circuit of one choice of decomposition index per gate."""
+    out: list[Instruction] = []
+    ph_idx = 0
+    for el in pc.elements:
+        if isinstance(el, Placeholder):
+            action = pc.param_vectors[ph_idx][assignment[el.gate_id]]
+            out.extend(action.to_instructions(el.qubit))
+            ph_idx += 1
+        else:
+            out.append(el)
+    return Circuit(pc.num_qubits, out, name=pc.name,
+                   num_clbits=pc.num_clbits).validate()
+
+
+def reference_slot_circuit(pc: ParamCircuit, gate_ids: list[int]) -> Circuit:
+    """The batched circuit ``runtime.execute`` runs for a fragment touched
+    by ``gate_ids``: each placeholder a Slot at its gate's stride."""
+    kj = len(gate_ids)
+    stride = {gid: 6 ** (kj - 1 - t) for t, gid in enumerate(gate_ids)}
+    vectors = iter(pc.param_vectors)
+    return Circuit(pc.num_qubits, [
+        Slot(el.qubit, next(vectors), stride[el.gate_id])
+        if isinstance(el, Placeholder) else el for el in pc.elements],
+        name=pc.name, num_clbits=pc.num_clbits)
 
 
 # ---------------------------------------------------------------------------

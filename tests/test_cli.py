@@ -70,6 +70,22 @@ def test_run_refuses_output_keys_past_63_bits(tmp_path, capsys):
     assert err.startswith("error: output bit 63 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("drop", ["placeholders", "param_vectors"])
+def test_run_refuses_unbound_placeholders(tmp_path, ghz_file, capsys, drop):
+    # A dropped placeholder used to run to {"000000": 0.5, "000111": 0.5},
+    # and a dropped parameter vector to a StopIteration traceback.
+    prog = tmp_path / "prog.json"
+    assert main(["compile", str(ghz_file), "--max-fragment-size", "3",
+                 "--budget", "3", "-o", str(prog)]) == 0
+    doc = json.loads(prog.read_text())
+    doc["fragments"][0][drop].pop()
+    prog.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", str(prog)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fragment 0 (ghz_f0) has ") and err.count("\n") == 1
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[2]; ccx q[0],q[1],q[0];")

@@ -1,9 +1,11 @@
+import json
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gatevm.bench import BenchmarkSpec, generate_benchmark
 from gatevm.circuit import Circuit, instr
 from gatevm.codegen import (
     CodegenError,
@@ -14,6 +16,8 @@ from gatevm.codegen import (
     program_from_json,
     program_to_json,
 )
+from gatevm.passes import PassConfig, run_pipeline
+from gatevm.runtime import run_program
 from gatevm.sim import linf_distance, run_exact
 from gatevm.vc import element_wires, from_circuit, virt_gate
 
@@ -107,37 +111,36 @@ def test_reinline_refuses_cross_fragment_gates():
 
 
 def test_peephole_cancels_self_inverse_pairs():
-    pc = ParamCircuit(1, [instr("h", 0), instr("h", 0)], [], [], [0], 0)
+    pc = ParamCircuit(1, [instr("h", 0), instr("h", 0)], [], [0], 0)
     assert peephole_optimize(pc).elements == []
-    pc2 = ParamCircuit(2, [instr("cx", 0, 1), instr("cx", 0, 1)], [], [], [0, 1], 0)
+    pc2 = ParamCircuit(2, [instr("cx", 0, 1), instr("cx", 0, 1)], [], [0, 1], 0)
     assert peephole_optimize(pc2).elements == []
 
 
 def test_peephole_merges_rotations():
     pc = ParamCircuit(1, [instr("rz", 0, angle=0.25), instr("rz", 0, angle=0.5)],
-                      [], [], [0], 0)
+                      [], [0], 0)
     out = peephole_optimize(pc).elements
     assert len(out) == 1 and out[0].angle == pytest.approx(0.75)
     pc2 = ParamCircuit(1, [instr("rx", 0, angle=1.0), instr("rx", 0, angle=-1.0)],
-                       [], [], [0], 0)
+                       [], [0], 0)
     assert peephole_optimize(pc2).elements == []
 
 
 def test_peephole_respects_blockers():
-    ph = Placeholder(0, "a", 0)
-    pc = ParamCircuit(1, [instr("h", 0), ph, instr("h", 0)],
-                      [tuple()], [], [0], 0)
+    ph = Placeholder(0, "a", 0, ())
+    pc = ParamCircuit(1, [instr("h", 0), ph, instr("h", 0)], [], [0], 0)
     out = peephole_optimize(pc)
     assert len(out.elements) == 3
     pc2 = ParamCircuit(1, [instr("h", 0), instr("measure", 0, clbit=0),
-                           instr("h", 0)], [], [0], [0], 0)
+                           instr("h", 0)], [0], [0], 0)
     assert len(peephole_optimize(pc2).elements) == 3
 
 
 def test_peephole_blocks_on_partial_wire_overlap():
     # cx pair with a gate on only one of the wires in between must survive
     pc = ParamCircuit(2, [instr("cx", 0, 1), instr("x", 1), instr("cx", 0, 1)],
-                      [], [], [0, 1], 0)
+                      [], [0, 1], 0)
     assert len(peephole_optimize(pc).elements) == 3
 
 
@@ -146,7 +149,7 @@ def test_peephole_preserves_unitaries():
     for _ in range(25):
         n = rng.randint(1, 4)
         c = random_circuit(rng, n, rng.randint(2, 16), two_qubit_prob=0.5)
-        pc = ParamCircuit(n, list(c.instructions), [], [], list(range(n)), 0)
+        pc = ParamCircuit(n, list(c.instructions), [], list(range(n)), 0)
         out = peephole_optimize(pc)
         before = dense_unitary(c)
         after = dense_unitary(Circuit(n, [e for e in out.elements]))
@@ -161,7 +164,7 @@ def _random_peephole_input(rng):
     runs of 4-6 same-axis rotations, and mirrored segments whose inverse
     follows them, so that removals expose further pairs."""
     n = rng.randint(1, 4)
-    els, vectors = [], []
+    els = []
 
     def gate():
         if n >= 2 and rng.random() < 0.4:
@@ -176,8 +179,9 @@ def _random_peephole_input(rng):
         q = rng.randrange(n)
         r = rng.random()
         if r < 0.1:
-            els.append(Placeholder(len(vectors), rng.choice("ab"), q))
-            vectors.append((f"vector{len(vectors)}",))
+            gate_id = sum(isinstance(el, Placeholder) for el in els)
+            els.append(Placeholder(gate_id, rng.choice("ab"), q,
+                                   (f"vector{gate_id}",)))
         elif r < 0.15:
             els.append(instr("measure", q, clbit=len(els)))
         elif r < 0.2:
@@ -196,7 +200,7 @@ def _random_peephole_input(rng):
                        for x in reversed(segment))
         else:
             els.append(gate())
-    return ParamCircuit(n, els, vectors, [], list(range(n)), 0)
+    return ParamCircuit(n, els, [], list(range(n)), 0)
 
 
 def _wire_sequences(elements):
@@ -276,6 +280,32 @@ def test_program_json_round_trip():
             assert linf_distance(run_exact(ca), run_exact(cb)) <= 1e-12
         for gid in prog.gate_order:
             assert np.allclose(back.coeff_vectors[gid], prog.coeff_vectors[gid])
+
+
+def ghz6_program_json():
+    """GHZ-6 under cc, dr, qr at s=3, b=3: fragments 0 and 1 each hold one
+    side of the one virtual gate."""
+    circuit = generate_benchmark(BenchmarkSpec("ghz", 6))
+    return program_to_json(generate(run_pipeline(from_circuit(circuit),
+                                                 PassConfig(3, 3))))
+
+
+@pytest.mark.parametrize("fragment", [0, 1])
+@pytest.mark.parametrize("drop", ["placeholders", "param_vectors"])
+def test_program_from_json_refuses_unbound_placeholders(fragment, drop):
+    # Dropping a placeholder used to load and run to {000000: 0.5,
+    # 000111: 0.5} (the right answer has 111111), and dropping its vector
+    # to stop with a bare StopIteration.
+    doc = json.loads(ghz6_program_json())
+    assert run_program(program_from_json(json.dumps(doc))).entries == \
+        pytest.approx({0: 0.5, 63: 0.5})
+    assert [len(f["placeholders"]) for f in doc["fragments"]] == [1, 1]
+    doc["fragments"][fragment][drop].pop()
+    with pytest.raises(CodegenError, match=(
+            rf"^fragment {fragment} \(ghz-6_f{fragment}\) has "
+            rf"{int(drop == 'param_vectors')} placeholders but "
+            rf"{int(drop == 'placeholders')} parameter vectors$")):
+        program_from_json(json.dumps(doc))
 
 
 def test_program_json_is_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from gatevm import runtime, sim
 from gatevm.bench import BenchmarkSpec, generate_benchmark
 from gatevm.circuit import Circuit, instr
 from gatevm.codegen import Placeholder, generate
+from gatevm.decomp import decomposition_for
 from gatevm.passes import PassConfig, WidthUnreachableError, run_pipeline
 from gatevm.qpu import (QpuModel, QpuError, fleet_from_json, fleet_to_json,
                         heavy_hex_qpu, line_qpu)
@@ -37,9 +39,10 @@ from gatevm.transpiler import esp, map_and_route
 from gatevm.vc import from_circuit, virt_gate
 
 from helpers import (bench_family_programs, random_circuit, reference_distributions,
-                     reference_execute, reference_halves_knit_range, reference_knit,
-                     reference_knit_range, reference_prefix_knit_range,
-                     reference_schedule)
+                     reference_execute, reference_halves_knit_range,
+                     reference_instantiate, reference_knit, reference_knit_range,
+                     reference_prefix_knit_range, reference_schedule,
+                     reference_slot_circuit)
 
 
 def compiled(circuit, vgate_ids):
@@ -1137,6 +1140,25 @@ def test_knit_accepts_two_reads_into_one_clbit_within_a_fragment(vgates, reads):
     assert_same_knit(run_program(prog), run_exact(c))
 
 
+def test_run_program_refuses_a_clbit_shared_across_fragments_before_executing(
+        monkeypatch):
+    # Two idle qubits read into one clbit make two fragments with clbit maps
+    # [0] and [0]; the knit refuses them, and run_program does so before
+    # any instance runs.
+    c = Circuit(2, [instr("h", 0), instr("h", 1), instr("measure", 0, clbit=0),
+                    instr("measure", 1, clbit=0)], num_clbits=1)
+    prog = generate(from_circuit(c))
+    assert [pc.clbit_map for pc in prog.fragments] == [[0], [0]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(runtime, "run_batch", refuse)
+    with pytest.raises(KnitShapeError,
+                       match=r"output bits \[0\] are shared across fragments"):
+        run_program(prog)
+
+
 def test_bench_family_programs_have_disjoint_in_range_clbit_maps():
     # Valid programs pass the check: their maps are disjoint and in range,
     # and those with at most three virtual gates knit.
@@ -1178,3 +1200,38 @@ def test_qpu_rejects_self_loop_edges():
     doc["qpus"][0]["coupling"].append([2, 2])
     with pytest.raises(QpuError, match=r"coupling edge \(2, 2\) is a self-loop"):
         fleet_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# fragment lowerings
+
+def test_fragment_lowerings_match_their_counter_references(monkeypatch):
+    # Each placeholder's actions are its side of its gate's decomposition;
+    # lowered through them, every instance of a fragment with k_j <= 2 and
+    # each fragment's batched Slot circuit equal what the parallel
+    # param_vectors list walked with a counter gave.
+    batched = []
+    monkeypatch.setattr(runtime, "run_batch",
+                        lambda circuit, count: batched.append(circuit) or [])
+    placeholders = instances = 0
+    for prog in bench_family_programs(random.Random(2424), 200, max_qubits=10):
+        batched.clear()
+        execute(prog)
+        gates = [pc.touching_gates(prog.gate_order) for pc in prog.fragments]
+        assert batched == [reference_slot_circuit(pc, g)
+                           for pc, g in zip(prog.fragments, gates)]
+        for pc, gate_ids in zip(prog.fragments, gates):
+            for el in pc.elements:
+                if isinstance(el, Placeholder):
+                    entries = decomposition_for(*prog.vgate_info[el.gate_id]).entries
+                    assert el.actions == tuple(
+                        e.a if el.side == "a" else e.b for e in entries)
+                    placeholders += 1
+            if len(gate_ids) > 2:
+                continue
+            for digits in itertools.product(range(6), repeat=len(gate_ids)):
+                assignment = dict(zip(gate_ids, digits))
+                assert pc.instantiate(assignment) == \
+                    reference_instantiate(pc, assignment)
+                instances += 1
+    assert placeholders >= 400 and instances >= 2000
