@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Circuit, Instruction
-from .decomp import LocalAction
+from .decomp import LocalAction, decomposition_for
 from .qasm import emit_qasm, parse_qasm
 from .vc import Gate2, VirtualCircuit, VirtualSide, element_wires
 
@@ -218,11 +218,6 @@ def _action_to_json(action: LocalAction) -> list[dict]:
             for op in action.ops]
 
 
-def _action_from_json(data: list[dict]) -> LocalAction:
-    from .decomp import LocalOp
-    return LocalAction(tuple(LocalOp(d["kind"], d.get("angle")) for d in data))
-
-
 def program_to_json(program: CompiledProgram) -> str:
     frags = []
     for pc in program.fragments:
@@ -254,22 +249,63 @@ def program_to_json(program: CompiledProgram) -> str:
 
 
 def program_from_json(text: str) -> CompiledProgram:
+    """Load a program written by :func:`program_to_json`.
+
+    Each gate's decomposition is derived from its kind and angle; the
+    placeholders take their actions from it, and the file's coefficient and
+    parameter vectors must equal it. A file that lists a gate twice or apart
+    from its fields, names an unknown gate or side, gives a gate other than
+    one side of each kind, or records a placeholder where it does not land
+    is refused with :class:`CodegenError`.
+    """
     doc = json.loads(text)
+    order = list(doc["gate_order"])
+    if len(set(order)) != len(order):
+        raise CodegenError(f"gate_order {order} repeats a gate")
+    for name in ("virtual_gates", "coeff_vectors"):
+        gates = sorted(map(int, doc[name]))
+        if gates != sorted(order):
+            raise CodegenError(f"gate_order {order} does not list the gates of "
+                               f"{name}, {gates}")
+    decomps = {int(g): decomposition_for(d["kind"], d.get("angle"))
+               for g, d in doc["virtual_gates"].items()}
+    coeffs = {g: dec.coefficients() for g, dec in decomps.items()}
+    for g, v in doc["coeff_vectors"].items():
+        if v != list(map(float, coeffs[int(g)])):
+            raise CodegenError(f"coeff_vectors of gate {g} differ from its "
+                               f"decomposition's coefficients")
+    sides: dict[int, list[str]] = {g: [] for g in order}
     fragments = []
     for fd in doc["fragments"]:
+        where = f"fragment {fd['fragment_index']} ({fd['name']})"
         base = parse_qasm(fd["qasm"], name=fd["name"])
         placeholders = sorted(fd["placeholders"], key=lambda p: p["position"])
         if len(placeholders) != len(fd["param_vectors"]):
             raise CodegenError(
-                f"fragment {fd['fragment_index']} ({fd['name']}) has "
-                f"{len(placeholders)} placeholders but "
+                f"{where} has {len(placeholders)} placeholders but "
                 f"{len(fd['param_vectors'])} parameter vectors")
         elements: list[Instruction | Placeholder] = list(base.instructions)
         # The i-th vector belongs to the i-th placeholder in position order.
-        for ph, vec in zip(placeholders, fd["param_vectors"]):
-            elements.insert(ph["position"], Placeholder(
-                ph["gate"], ph["side"], ph["qubit"],
-                tuple(_action_from_json(a) for a in vec)))
+        for i, (ph, vec) in enumerate(zip(placeholders, fd["param_vectors"])):
+            gate, side = ph["gate"], ph["side"]
+            if gate not in decomps:
+                raise CodegenError(f"{where} has a placeholder of unknown gate {gate}")
+            if side not in ("a", "b"):
+                raise CodegenError(f"{where} has a placeholder side {side!r}, "
+                                   f"not 'a' or 'b'")
+            actions = tuple(e.a if side == "a" else e.b
+                            for e in decomps[gate].entries)
+            if vec != [_action_to_json(a) for a in actions]:
+                raise CodegenError(f"{where} param_vectors[{i}] differ from side "
+                                   f"{side} of gate {gate}'s decomposition")
+            sides[gate].append(side)
+            elements.insert(ph["position"],
+                            Placeholder(gate, side, ph["qubit"], actions))
+        landed = [i for i, el in enumerate(elements) if isinstance(el, Placeholder)]
+        if landed != [ph["position"] for ph in placeholders]:
+            raise CodegenError(f"{where} records placeholder positions "
+                               f"{[ph['position'] for ph in placeholders]}, "
+                               f"but they land at {landed}")
         fragments.append(ParamCircuit(
             num_qubits=base.num_qubits,
             elements=elements,
@@ -278,9 +314,11 @@ def program_from_json(text: str) -> CompiledProgram:
             fragment_index=fd["fragment_index"],
             name=fd["name"],
         ))
-    coeffs = {int(g): np.array(v, dtype=float)
-              for g, v in doc["coeff_vectors"].items()}
+    for g, found in sides.items():
+        if sorted(found) != ["a", "b"]:
+            raise CodegenError(f"gate {g} has placeholder sides {sorted(found)}, "
+                               f"not one 'a' and one 'b'")
     info = {int(g): (d["kind"], d.get("angle"))
             for g, d in doc["virtual_gates"].items()}
-    return CompiledProgram(fragments, coeffs, list(doc["gate_order"]),
-                           doc["num_clbits"], info, name=doc["name"])
+    return CompiledProgram(fragments, coeffs, order, doc["num_clbits"], info,
+                           name=doc["name"])

@@ -10,10 +10,11 @@ into one accumulator. It splits the fragments into two halves of balanced
 width and each half into blocks of adjacent fragments. A block's table,
 built once per call, has one row per digit tuple of the gates touching the
 block and holds at most KNIT_TABLE_ENTRIES entries; a lone fragment's table
-serves as it is. For many instances at once the knitter gathers each
-block's rows, forms each half's row-wise Kronecker product, and adds a
-chunk of instances with one matrix product of its two halves. The global
-coefficient vector is split into contiguous ranges across a process pool.
+serves as it is. A block table, for every digit tuple, and a half, for
+many instances at once, are built alike: rows gathered at the digits, then
+their row-wise Kronecker product. A chunk of instances is added with one
+matrix product of its two halves. The global coefficient vector is split
+into contiguous ranges across a process pool.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .codegen import CompiledProgram, ParamCircuit
 from .qpu import QpuModel
 # run_exact and run_sampled stay importable from here for callers that
 # look the simulator up through this module.
-from .sim import SignedDistribution, Slot, run_batch, run_exact, run_sampled
+from .sim import SignedDistribution, Slot, _read_bits, run_batch, run_exact, run_sampled
 from .transpiler import coupling_key, esp, map_and_route
 
 MAX_FRAGMENT_INSTANCES = 10_000_000
@@ -279,9 +280,7 @@ def _fragment_tables(results: FragmentResults):
         strides = [(gstride[gid], 6 ** (kj - 1 - t))
                    for t, gid in enumerate(entry.gate_ids)]
         local = np.concatenate([d.keys for d in entry.distributions])
-        keys = np.zeros_like(local)
-        for t, clbit in enumerate(entry.clbit_map):
-            keys |= ((local >> t) & 1) << clbit
+        keys = _read_bits(local, dict(enumerate(entry.clbit_map)))
         union, column = np.unique(keys, return_inverse=True)
         row = np.repeat(np.arange(rows), [d.keys.size for d in entry.distributions])
         # Unrecorded fragment bits marginalize away: scattered keys that
@@ -309,26 +308,22 @@ def _block_table(tables, members):
     """Strides and table of a block of adjacent fragments. Its rows are the
     digit tuples of the gates touching the block, last gate fastest; each row
     is the Kronecker product of its fragments' rows at those digits, first
-    fragment fastest. A one-fragment block is that fragment's table itself."""
+    fragment fastest, gathered and multiplied as in the knit kernel. A
+    one-fragment block is that fragment's table itself."""
     if len(members) == 1:
         strides, _, table = tables[members[0]]
         return strides, table
     gates = sorted({gs for j in members for gs, _ in tables[j][0]}, reverse=True)
-    # Each fragment's table is viewed with one axis per block gate (its
-    # digit, or length 1 where the gate does not touch it), then one axis
-    # per fragment, the last outermost (its columns, or length 1); the block
-    # table is the broadcast product of the views.
-    block = np.ones(())
-    for c, j in enumerate(members):
+    place = {gs: 6 ** (len(gates) - 1 - t) for t, gs in enumerate(gates)}
+    digits = np.arange(6 ** len(gates))
+    block = None
+    for j in members:
         strides, _, table = tables[j]
-        axes = [gates.index(gs) for gs, _ in strides]
-        view = table.reshape([6] * len(axes) + [table.shape[1]]).transpose(
-            sorted(range(len(axes)), key=axes.__getitem__) + [len(axes)])
-        block = block * view.reshape(
-            [6 if t in axes else 1 for t in range(len(gates))]
-            + [1] * (len(members) - 1 - c) + [table.shape[1]] + [1] * c)
-    return ([(gs, 6 ** (len(gates) - 1 - t)) for t, gs in enumerate(gates)],
-            block.reshape(6 ** len(gates), -1))
+        index = _digit_index(digits, [(place[gs], ls) for gs, ls in strides])
+        rows = table.take(index, axis=0)
+        block = rows if block is None else (
+            rows[:, :, None] * block[:, None, :]).reshape(len(digits), -1)
+    return [(gs, place[gs]) for gs in gates], block
 
 
 def _half_tables(tables, members):
@@ -507,8 +502,10 @@ def run_program(program: CompiledProgram, mode: str = "exact",
                 shots: int = 20000, seed: int = 0,
                 workers: int = 1) -> SignedDistribution:
     """Instantiate, execute and knit in one call. Clbit maps the knit would
-    refuse are refused before any instance runs."""
+    refuse, and more global instances than the limit, are refused before
+    any instance runs."""
     _check_output_bits([pc.clbit_map for pc in program.fragments],
                       program.num_clbits)
+    coeffs = global_coefficients(program)
     results = execute(program, None, mode, shots, seed)
-    return knit(results, global_coefficients(program), workers)
+    return knit(results, coeffs, workers)

@@ -8,8 +8,10 @@ plain Python with dict accumulation. The knit kernel is also checked
 against the three chunked kernels it replaced: one sums full-width Kronecker
 rows, one meets each chunk's Kronecker prefix with the last fragment's rows
 in one matrix product, and one rebuilds both halves' Kronecker products from
-fragment rows for every sub-block instead of gathering block-table rows. The compiler's single-sweep passes
-are checked against the algorithms they replaced: a predecessor-list DFS
+fragment rows for every sub-block instead of gathering block-table rows;
+the block tables are checked against the axis-transposing builder that the
+kernel's own gather and row product replaced. The compiler's single-sweep
+passes are checked against the algorithms they replaced: a predecessor-list DFS
 for a wire's dependency closure, a peephole optimizer that repeats whole
 rounds until no pair is left, a Kernighan-Lin cut plan that bisects
 networkx subgraph views, and dependency pairs and gate costs read off an
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import json
 import math
 import random
 import re
@@ -530,6 +533,33 @@ def reference_halves_knit_range(args):
                 acc += buf
             del rows, lhs, rhs, lc, rc  # before the next sub-block's halves
     return acc
+
+
+def reference_block_table(tables, members):
+    """The block-table builder that the kernel's digit gather and row product
+    replaced, kept as it was: each fragment's table is viewed with one axis
+    per block gate, the axes are transposed into block order and padded with
+    unit axes, and the views' broadcast product is the table. Same arguments
+    and result as ``runtime._block_table``."""
+    if len(members) == 1:
+        strides, _, table = tables[members[0]]
+        return strides, table
+    gates = sorted({gs for j in members for gs, _ in tables[j][0]}, reverse=True)
+    # Each fragment's table is viewed with one axis per block gate (its
+    # digit, or length 1 where the gate does not touch it), then one axis
+    # per fragment, the last outermost (its columns, or length 1); the block
+    # table is the broadcast product of the views.
+    block = np.ones(())
+    for c, j in enumerate(members):
+        strides, _, table = tables[j]
+        axes = [gates.index(gs) for gs, _ in strides]
+        view = table.reshape([6] * len(axes) + [table.shape[1]]).transpose(
+            sorted(range(len(axes)), key=axes.__getitem__) + [len(axes)])
+        block = block * view.reshape(
+            [6 if t in axes else 1 for t in range(len(gates))]
+            + [1] * (len(members) - 1 - c) + [table.shape[1]] + [1] * c)
+    return ([(gs, 6 ** (len(gates) - 1 - t)) for t, gs in enumerate(gates)],
+            block.reshape(6 ** len(gates), -1))
 
 
 def reference_kl_cut_plan(graph, s: int, rng: random.Random, restarts: int):
@@ -1252,6 +1282,99 @@ def bench_family_programs(rng: random.Random, count: int, max_qubits: int = 16):
         except (BenchmarkError, WidthUnreachableError, WireSplitError):
             continue
     return programs
+
+
+# ---------------------------------------------------------------------------
+# program files that must be refused
+
+def ghz6_program_json() -> str:
+    """GHZ-6 under cc, dr, qr at s=3, b=3: fragments 0 and 1 each hold one
+    side of the one virtual gate."""
+    from gatevm.bench import BenchmarkSpec, generate_benchmark
+    from gatevm.codegen import generate, program_to_json
+    from gatevm.passes import PassConfig, run_pipeline
+    from gatevm.vc import from_circuit
+
+    circuit = generate_benchmark(BenchmarkSpec("ghz", 6))
+    return program_to_json(generate(run_pipeline(from_circuit(circuit),
+                                                 PassConfig(3, 3))))
+
+
+def refuse_instances(monkeypatch) -> None:
+    """Make ``runtime.run_batch`` fail if any fragment instance runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(runtime, "run_batch", refuse)
+
+
+def program_mutations(doc: dict):
+    """(label, mutated copy, expected CodegenError message) for mutations of
+    a program document with one virtual gate whose side a is fragment 0's
+    only placeholder and side b fragment 1's. Each used to load: some ran
+    to a wrong answer, some to the right one, and the rest stopped with a
+    bare KeyError or only in the knit, after every fragment had run."""
+    from gatevm.qasm import parse_qasm
+
+    (gate,) = doc["gate_order"]
+    names = [f"fragment {f['fragment_index']} ({f['name']})" for f in doc["fragments"]]
+    ends = [len(parse_qasm(f["qasm"]).instructions) for f in doc["fragments"]]
+
+    def mutated(change):
+        copy = json.loads(json.dumps(doc))
+        change(copy)
+        return copy
+
+    def frag(j, change):
+        return lambda d: change(d["fragments"][j])
+
+    def placeholder(j, key, value):
+        return frag(j, lambda f: f["placeholders"][0].update({key: value}))
+
+    def drop_side(f):
+        f["placeholders"].pop()
+        f["param_vectors"].pop()
+
+    def set_coeff(value):
+        return lambda d: d["coeff_vectors"][str(gate)].__setitem__(0, value)
+
+    def side_a_twice(d):
+        first, second = d["fragments"][:2]
+        second["placeholders"][0]["side"] = "a"
+        second["param_vectors"] = first["param_vectors"]
+
+    coeffs = f"coeff_vectors of gate {gate} differ from its decomposition's coefficients"
+    yield from ((label, mutated(change), message) for label, change, message in (
+        ("drop-side-a", frag(0, drop_side),
+         f"gate {gate} has placeholder sides ['b'], not one 'a' and one 'b'"),
+        ("drop-side-b", frag(1, drop_side),
+         f"gate {gate} has placeholder sides ['a'], not one 'a' and one 'b'"),
+        ("side-a-twice", side_a_twice,
+         f"gate {gate} has placeholder sides ['a', 'a'], not one 'a' and one 'b'"),
+        ("position-99", placeholder(1, "position", 99),
+         f"{names[1]} records placeholder positions [99], but they land at [{ends[1]}]"),
+        ("position-minus-1", placeholder(0, "position", -1),
+         f"{names[0]} records placeholder positions [-1], but they land at "
+         f"[{ends[0] - 1}]"),
+        ("nan-coefficient", set_coeff(float("nan")), coeffs),
+        ("changed-coefficient", set_coeff(0.25), coeffs),
+        ("five-coefficients", lambda d: d["coeff_vectors"][str(gate)].pop(), coeffs),
+        ("changed-action", frag(0, lambda f: f["param_vectors"][0].__setitem__(
+            0, [{"kind": "x"}])),
+         f"{names[0]} param_vectors[0] differ from side a of gate {gate}'s "
+         f"decomposition"),
+        ("unknown-gate", placeholder(1, "gate", 99),
+         f"{names[1]} has a placeholder of unknown gate 99"),
+        ("side-x", placeholder(1, "side", "x"),
+         f"{names[1]} has a placeholder side 'x', not 'a' or 'b'"),
+        ("empty-gate-order", lambda d: d["gate_order"].clear(),
+         f"gate_order [] does not list the gates of virtual_gates, [{gate}]"),
+        ("repeated-gate", lambda d: d["gate_order"].append(gate),
+         f"gate_order [{gate}, {gate}] repeats a gate"),
+        ("extra-coefficient-vector",
+         lambda d: d["coeff_vectors"].update({"99": d["coeff_vectors"][str(gate)]}),
+         f"gate_order [{gate}] does not list the gates of coeff_vectors, [{gate}, 99]"),
+    ))
 
 
 # ---------------------------------------------------------------------------

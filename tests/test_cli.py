@@ -11,6 +11,7 @@ from gatevm.qpu import fleet_to_json, line_qpu
 from gatevm.transpiler import esp, map_and_route
 
 from fixtures import fully_dependent_circuit
+from helpers import ghz6_program_json, program_mutations, refuse_instances
 
 
 @pytest.fixture
@@ -84,6 +85,22 @@ def test_run_refuses_unbound_placeholders(tmp_path, ghz_file, capsys, drop):
     assert main(["run", str(prog)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: fragment 0 (ghz_f0) has ") and err.count("\n") == 1
+
+
+MUTATIONS = list(program_mutations(json.loads(ghz6_program_json())))
+
+
+@pytest.mark.parametrize("doc, message", [m[1:] for m in MUTATIONS],
+                         ids=[m[0] for m in MUTATIONS])
+def test_run_refuses_inconsistent_programs(tmp_path, capsys, monkeypatch, doc, message):
+    # Some of these used to exit 0 with a wrong distribution, and others
+    # with a KeyError traceback; each is now one error line, before any
+    # instance runs.
+    refuse_instances(monkeypatch)
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps(doc))
+    assert main(["run", str(prog)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,11 +1,11 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gatevm.bench import BenchmarkSpec, generate_benchmark
 from gatevm.circuit import Circuit, instr
 from gatevm.codegen import (
     CodegenError,
@@ -16,12 +16,14 @@ from gatevm.codegen import (
     program_from_json,
     program_to_json,
 )
-from gatevm.passes import PassConfig, run_pipeline
+from gatevm.passes import (PassConfig, WidthUnreachableError, WireSplitError,
+                           run_pipeline)
 from gatevm.runtime import run_program
 from gatevm.sim import linf_distance, run_exact
 from gatevm.vc import element_wires, from_circuit, virt_gate
 
-from helpers import dense_unitary, random_circuit, reference_peephole, reinlined
+from helpers import (dense_unitary, ghz6_program_json, program_mutations, random_circuit,
+                     reference_peephole, refuse_instances, reinlined)
 
 
 def split_bell_program():
@@ -282,14 +284,6 @@ def test_program_json_round_trip():
             assert np.allclose(back.coeff_vectors[gid], prog.coeff_vectors[gid])
 
 
-def ghz6_program_json():
-    """GHZ-6 under cc, dr, qr at s=3, b=3: fragments 0 and 1 each hold one
-    side of the one virtual gate."""
-    circuit = generate_benchmark(BenchmarkSpec("ghz", 6))
-    return program_to_json(generate(run_pipeline(from_circuit(circuit),
-                                                 PassConfig(3, 3))))
-
-
 @pytest.mark.parametrize("fragment", [0, 1])
 @pytest.mark.parametrize("drop", ["placeholders", "param_vectors"])
 def test_program_from_json_refuses_unbound_placeholders(fragment, drop):
@@ -306,6 +300,56 @@ def test_program_from_json_refuses_unbound_placeholders(fragment, drop):
             rf"{int(drop == 'param_vectors')} placeholders but "
             rf"{int(drop == 'placeholders')} parameter vectors$")):
         program_from_json(json.dumps(doc))
+
+
+MUTATIONS = list(program_mutations(json.loads(ghz6_program_json())))
+
+
+@pytest.mark.parametrize("doc, message", [m[1:] for m in MUTATIONS],
+                         ids=[m[0] for m in MUTATIONS])
+def test_program_from_json_refuses_inconsistent_programs(monkeypatch, doc, message):
+    # Each mutation used to load. Eight ran to a wrong answer (a dropped side
+    # to {000000: 0.5, 000111: 0.5}, a NaN coefficient to {}), four to the
+    # right one, two stopped with a bare KeyError, and a 5-entry coefficient
+    # vector only in the knit, after every fragment had run. Each is now
+    # refused before any instance runs.
+    refuse_instances(monkeypatch)
+    with pytest.raises(CodegenError, match=f"^{re.escape(message)}$"):
+        run_program(program_from_json(json.dumps(doc)))
+
+
+PASS_ORDERS = (("cc", "dr", "qr"), ("cc", "dr"), ("cc", "qr"), ("dr", "cc", "qr"),
+               ("cc",), ("dr", "qr"), ("qr",), ("qr", "cc"))
+
+
+def test_random_pipelines_load_back_and_knit_to_the_uncut_output():
+    # 700 seeded random circuits of 3-8 qubits, a random subset measured at
+    # the end into shuffled clbits, under random pass orders, s, b (at most
+    # 4) and pass seeds: each program loads back from JSON to the same text
+    # and knits to the uncut statevector output, unless the pipeline cannot
+    # reach the width. 559 knit, 282 of them with virtual gates; the sweep
+    # took about 3 s on a 2-vCPU host.
+    rng = random.Random(2400)
+    knitted = cut = 0
+    for _ in range(700):
+        n = rng.randint(3, 8)
+        c = random_circuit(rng, n, rng.randint(n, 3 * n), two_qubit_prob=0.6)
+        measured = rng.sample(range(n), rng.randint(1, n))
+        c.num_clbits = len(measured)
+        for clbit, q in enumerate(measured):
+            c.add("measure", q, clbit=clbit)
+        cfg = PassConfig(rng.randint(2, n), rng.randint(0, 4), seed=rng.randrange(3))
+        try:
+            vc = run_pipeline(from_circuit(c), cfg, rng.choice(PASS_ORDERS))
+        except (WidthUnreachableError, WireSplitError):
+            continue
+        text = program_to_json(generate(vc))
+        back = program_from_json(text)
+        assert program_to_json(back) == text
+        assert linf_distance(run_program(back), run_exact(c)) <= 1e-8
+        knitted += 1
+        cut += back.num_virtual_gates > 0
+    assert knitted >= 500 and cut >= 250
 
 
 def test_program_json_is_deterministic():
